@@ -140,6 +140,12 @@ let store_loaded_packed (c : Case.t) ~io packed =
           Ok p
       | Error _ as e -> e)
 
+(* Lane 0 evaluated alone through a reused workspace: the one-lane
+   [run_batch] route a lone served request takes. *)
+let lone_ws = Th.Packed.workspace ()
+
+let run_lone packed input = Th.Packed.run_batch ~ws:lone_ws packed [| input |]
+
 let check_trace (c : Case.t) =
   let built = trace_built c in
   let a = Case.matrix c ~index:0 in
@@ -178,6 +184,7 @@ let check_trace (c : Case.t) =
         let inputs = Array.map (T.Trace_circuit.encode_input built) lanes in
         let br = Th.Packed.run_batch loaded inputs in
         let out = built.T.Trace_circuit.output in
+        let lone = run_lone loaded inputs.(0) in
         let rec lanes_ok i =
           if i >= Array.length lanes then Ok ()
           else
@@ -189,7 +196,10 @@ let check_trace (c : Case.t) =
               fail "store-loaded lane %d disagrees with the fresh build" i
             else lanes_ok (i + 1)
         in
-        lanes_ok 0
+        if Th.Packed.batch_value lone ~lane:0 out <> expected then
+          fail "store-loaded lone lane says %b, integer reference says %b"
+            (not expected) expected
+        else lanes_ok 0
 
 let check_matmul (c : Case.t) =
   let built = matmul_built c in
@@ -240,6 +250,10 @@ let check_matmul (c : Case.t) =
           Array.init (Array.length pairs) (fun lane ->
               T.Matmul_circuit.decode direct (Th.Packed.batch_value br ~lane))
         in
+        let lone =
+          T.Matmul_circuit.decode direct
+            (Th.Packed.batch_value (run_lone loaded inputs.(0)) ~lane:0)
+        in
         let rec lanes_ok i =
           if i >= Array.length pairs then Ok ()
           else
@@ -252,7 +266,9 @@ let check_matmul (c : Case.t) =
               fail "store-loaded lane %d disagrees with the fresh build" i
             else lanes_ok (i + 1)
         in
-        lanes_ok 0
+        if not (F.Matrix.equal lone expected) then
+          fail "store-loaded lone lane disagrees with integer reference"
+        else lanes_ok 0
 
 (* The conv leg: the case's im2col workload through the n x n matmul
    circuit — direct convolution, the integer im2col product, and the

@@ -17,7 +17,12 @@
       whose packed form dispatches the template-specialized kernels
       ({!Tcmm_threshold.Kernel}), pitted against the all-generic batch —
       a kernel miscompile shows up as a lane disagreement and is shrunk
-      and saved to the corpus like any other divergence.
+      and saved to the corpus like any other divergence;
+    - the packed circuit recovered through an artifact-store save and
+      load, on the same lanes and on the case's own input evaluated
+      alone (a one-lane [run_batch] through a reused workspace: the
+      route a lone served request takes), against the integer
+      reference.
 
     A [Conv] case runs the {e conv} leg instead: the case's im2col
     workload ({!Case.conv_job}) must score identically under direct

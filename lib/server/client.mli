@@ -19,8 +19,8 @@ val send : t -> Protocol.request -> unit
 (** Write one framed request (blocking). *)
 
 val recv : t -> (Protocol.response, string) result
-(** Read one framed response (blocking).  [Error] on EOF or a corrupt
-    frame. *)
+(** Read one framed response (blocking).  [Error] on EOF, a connection
+    reset by the peer, or a corrupt frame. *)
 
 val request : t -> Protocol.request -> (Protocol.response, string) result
 (** [send] then [recv]. *)

@@ -791,7 +791,10 @@ let read_exactly fd n =
        if k = 0 then raise Exit;
        got := !got + k
      done
-   with Exit -> ());
+   with Exit | Unix.Unix_error (ECONNRESET, _, _) ->
+     (* A reset peer (killed with our requests unread) is a closed
+        connection, as in [read_exactly_within]. *)
+     ());
   if !got = n then Ok (Bytes.unsafe_to_string b)
   else Result.Error (Printf.sprintf "connection closed (%d of %d bytes)" !got n)
 

@@ -675,98 +675,119 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
 (* Single-vector evaluation                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Weighted sum of segment [s] under [values], one byte per wire.  The
+   scalar evaluators only ever write 0 or 1 there, so unchecked, each
+   weight group costs a branch-free sum of its wires' bytes and one
+   multiply by the group weight — no per-edge weight load and no
+   data-dependent branch; native-int arithmetic is modular, so this
+   equals the per-edge sum bit for bit even when it wraps.  Checked, it
+   is the per-edge [Checked.add] in pool order, so overflow traps where
+   every other checked evaluator traps. *)
+let seg_sum ~check t values s =
+  let pw = t.pool_wires in
+  let sum = ref 0 in
+  if check then begin
+    let pwt = t.pool_weights in
+    let off = Array.unsafe_get t.seg_off s in
+    for i = off to off + Array.unsafe_get t.seg_fan s - 1 do
+      if Bytes.unsafe_get values (bget pw i) <> '\000' then
+        sum := Checked.add !sum (bget pwt i)
+    done
+  end
+  else
+    for g = Array.unsafe_get t.seg_grp s to Array.unsafe_get t.seg_grp (s + 1) - 1 do
+      let cnt = ref 0 in
+      for i = Array.unsafe_get t.grp_off g to Array.unsafe_get t.grp_off (g + 1) - 1 do
+        cnt := !cnt + Char.code (Bytes.unsafe_get values (bget pw i))
+      done;
+      sum := !sum + (!cnt * Array.unsafe_get t.grp_weight g)
+    done;
+  !sum
+
+(* Firing-prefix length within gate range [glo, ghi) under weighted sum
+   [sum] (thresholds ascend within a segment). *)
+let seg_cut t ~glo ~ghi sum =
+  let a = ref glo and b = ref ghi in
+  while !a < !b do
+    let mid = (!a + !b) lsr 1 in
+    if bget t.g_threshold mid <= sum then a := mid + 1 else b := mid
+  done;
+  !a - glo
+
+let fire_prefix t values ~glo cut =
+  for g = glo to glo + cut - 1 do
+    Bytes.unsafe_set values (bget t.g_wire g) '\001'
+  done
+
 (* Evaluate segments [lo, hi) against [values]; returns the number of
    gates fired.  Each segment computes its shared weighted sum once and
    fires the prefix of its (ascending) thresholds that the sum reaches. *)
 let eval_segs ~check t values lo hi =
-  let pw = t.pool_wires and pwt = t.pool_weights in
-  let th = t.g_threshold and gw = t.g_wire in
   let fired = ref 0 in
   for s = lo to hi - 1 do
-    let off = Array.unsafe_get t.seg_off s in
-    let fan = Array.unsafe_get t.seg_fan s in
-    let sum = ref 0 in
-    if check then
-      for i = off to off + fan - 1 do
-        if Bytes.unsafe_get values (bget pw i) <> '\000' then
-          sum := Checked.add !sum (bget pwt i)
-      done
-    else
-      for i = off to off + fan - 1 do
-        if Bytes.unsafe_get values (bget pw i) <> '\000' then
-          sum := !sum + bget pwt i
-      done;
-    let s0 = !sum in
     let glo = Array.unsafe_get t.seg_gates s in
     let ghi = Array.unsafe_get t.seg_gates (s + 1) in
-    let cut =
-      if ghi - glo = 1 then if s0 >= bget th glo then ghi else glo
-      else begin
-        (* first index whose threshold exceeds the sum *)
-        let a = ref glo and b = ref ghi in
-        while !a < !b do
-          let mid = (!a + !b) lsr 1 in
-          if bget th mid <= s0 then a := mid + 1 else b := mid
-        done;
-        !a
-      end
-    in
-    for g = glo to cut - 1 do
-      Bytes.unsafe_set values (bget gw g) '\001'
-    done;
-    fired := !fired + (cut - glo)
+    let cut = seg_cut t ~glo ~ghi (seg_sum ~check t values s) in
+    fire_prefix t values ~glo cut;
+    fired := !fired + cut
   done;
   !fired
 
-let run_seq_levels ~check t values level_firings =
-  for l = 0 to t.levels - 1 do
-    level_firings.(l) <-
-      eval_segs ~check t values t.level_segs.(l) t.level_segs.(l + 1)
-  done
-
-let run_par_levels ~check t values level_firings pool =
-  let size = Pool.size pool in
-  for l = 0 to t.levels - 1 do
-    let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
-    let nseg = hi - lo in
-    if nseg = 0 then level_firings.(l) <- 0
-    else if size = 1 || nseg = 1 then
-      level_firings.(l) <- eval_segs ~check t values lo hi
-    else begin
-      let nchunks = min nseg (4 * size) in
+(* Level [l]'s firing count; under a pool of several domains its
+   segments fan out in chunks. *)
+let eval_level ~check t values pool l =
+  let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
+  let nseg = hi - lo in
+  match pool with
+  | Some pool when Pool.size pool > 1 && nseg > 1 ->
+      let nchunks = min nseg (4 * Pool.size pool) in
       let partial = Array.make nchunks 0 in
       Pool.run pool ~chunks:nchunks (fun i ->
           let a, b = chunk_bounds lo nseg nchunks i in
           partial.(i) <- eval_segs ~check t values a b);
-      level_firings.(l) <- Array.fold_left ( + ) 0 partial
-    end
-  done
+      Array.fold_left ( + ) 0 partial
+  | _ -> eval_segs ~check t values lo hi
 
-let prep_values t inputs =
+let with_domains ?pool ~domains f =
+  match pool with
+  | Some p -> f (Some p)
+  | None ->
+      if domains <= 1 then f None
+      else Pool.with_pool ~domains (fun p -> f (Some p))
+
+let check_width name t inputs =
   if Array.length inputs <> t.num_inputs then
     invalid_arg
-      (Printf.sprintf "Packed.run: expected %d inputs, got %d" t.num_inputs
-         (Array.length inputs));
-  let values = Bytes.make t.num_wires '\000' in
-  Array.iteri (fun i v -> if v then Bytes.unsafe_set values i '\001') inputs;
-  values
+      (Printf.sprintf "Packed.%s: expected %d inputs, got %d" name t.num_inputs
+         (Array.length inputs))
+
+(* Zero [values]' first [num_wires] bytes and set the input wires. *)
+let load_inputs t values inputs =
+  Bytes.fill values 0 t.num_wires '\000';
+  Array.iteri (fun i v -> if v then Bytes.unsafe_set values i '\001') inputs
+
+(* The scalar level walk behind [run] and one-lane [run_batch]: each
+   level runs under [timed l] and its firing count lands in the returned
+   array. *)
+let walk_levels ~check ~timed t values pool =
+  let level_firings = Array.make t.levels 0 in
+  for l = 0 to t.levels - 1 do
+    timed l (fun () -> level_firings.(l) <- eval_level ~check t values pool l)
+  done;
+  level_firings
+
+let untimed _ f = f ()
 
 let run ?(check = false) ?pool ?(domains = 1) t inputs =
-  let values = prep_values t inputs in
-  let level_firings = Array.make t.levels 0 in
-  (match pool with
-  | Some p -> run_par_levels ~check t values level_firings p
-  | None ->
-      if domains <= 1 then run_seq_levels ~check t values level_firings
-      else
-        Pool.with_pool ~domains (fun p ->
-            run_par_levels ~check t values level_firings p));
-  let outputs =
-    Array.map (fun w -> Bytes.unsafe_get values w <> '\000') t.outputs
+  check_width "run" t inputs;
+  let values = Bytes.create t.num_wires in
+  load_inputs t values inputs;
+  let level_firings =
+    with_domains ?pool ~domains (walk_levels ~check ~timed:untimed t values)
   in
   {
     Simulator.values;
-    outputs;
+    outputs = Array.map (fun w -> Bytes.unsafe_get values w <> '\000') t.outputs;
     firings = Array.fold_left ( + ) 0 level_firings;
     level_firings;
   }
@@ -829,32 +850,6 @@ let fanout_index t =
       t.fanout <- Some f;
       f
 
-let seg_sum ~check t values s =
-  let off = Array.unsafe_get t.seg_off s in
-  let fan = Array.unsafe_get t.seg_fan s in
-  let sum = ref 0 in
-  if check then
-    for i = off to off + fan - 1 do
-      if Bytes.unsafe_get values (bget t.pool_wires i) <> '\000' then
-        sum := Checked.add !sum (bget t.pool_weights i)
-    done
-  else
-    for i = off to off + fan - 1 do
-      if Bytes.unsafe_get values (bget t.pool_wires i) <> '\000' then
-        sum := !sum + bget t.pool_weights i
-    done;
-  !sum
-
-(* Firing-prefix length within gate range [glo, ghi) under weighted sum
-   [sum] (thresholds ascend within a segment). *)
-let seg_cut t ~glo ~ghi sum =
-  let a = ref glo and b = ref ghi in
-  while !a < !b do
-    let mid = (!a + !b) lsr 1 in
-    if bget t.g_threshold mid <= sum then a := mid + 1 else b := mid
-  done;
-  !a - glo
-
 (* Per-segment session state, interleaved 4 ints (32 bytes) per segment
    so that touching a segment in the hot flip path costs at most one
    cache line, not one miss per parallel array (the scattered layout
@@ -907,7 +902,9 @@ let set_bracket t st base ~glo ~ghi cut =
     (if glo + cut >= ghi then max_int else bget t.g_threshold (glo + cut))
 
 let session ?(check = false) t inputs =
-  let values = prep_values t inputs in
+  check_width "session" t inputs;
+  let values = Bytes.create t.num_wires in
+  load_inputs t values inputs;
   ignore (fanout_index t : fanout);
   let nsegs = Array.length t.seg_off in
   let st = ba_create (4 * max nsegs 1) in
@@ -925,9 +922,7 @@ let session ?(check = false) t inputs =
       bset st (base + 3) (l lsl 1);
       set_bracket t st base ~glo ~ghi cut;
       ss_cut.(s) <- cut;
-      for g = glo to glo + cut - 1 do
-        Bytes.unsafe_set values (bget t.g_wire g) '\001'
-      done;
+      fire_prefix t values ~glo cut;
       fired := !fired + cut
     done;
     ss_lf.(l) <- !fired
@@ -1124,10 +1119,16 @@ let ctz_table = Kernel.ctz_table
 let lane_slot = Kernel.lane_slot
 let full_word = (1 lsl word_lanes) - 1
 
+(* Wire values of a batch: lane words for the SWAR kernels, or the
+   scalar walk's byte per wire when the batch is a single lane. *)
+type wire_values =
+  | Words of { wordc : int; vals : int array }
+      (* wire-major: vals.(wire * wordc + word) *)
+  | Wire_bytes of Bytes.t
+
 type batch_result = {
   b_lanes : int;
-  b_wordc : int;
-  b_vals : int array;  (* wire-major: vals.(wire * wordc + word) *)
+  b_values : wire_values;
   b_outputs : bool array array;
   b_firings : int array;
   b_level_firings : int array array;
@@ -1759,36 +1760,31 @@ type eval_profile = {
 let make_profile t =
   { ep_batches = 0; ep_lanes = 0; ep_level_ns = Array.make (max t.levels 1) 0. }
 
-type workspace = { mutable w_vals : int array }
+(* One buffer per route, each reused while big enough: lane words for
+   the kernels, a byte per wire for the one-lane walk. *)
+type workspace = { mutable w_vals : int array; mutable w_bytes : Bytes.t }
 
-let workspace () = { w_vals = [||] }
+let workspace () = { w_vals = [||]; w_bytes = Bytes.empty }
 
-let run_batch ?(check = false) ?pool ?(domains = 1) ?profile ?ws t inputs =
+(* Two or more lanes: one traversal of the circuit metadata for the
+   whole batch, levels outer, lane words handled inside each segment.
+   Under a pool the chunks split segments (as for single-vector runs);
+   per-chunk scratch and firing buffers are preallocated once, so every
+   level runs allocation-free. *)
+let run_words ~check ~timed t ws inputs pool =
   let lanes = Array.length inputs in
-  if lanes = 0 then invalid_arg "Packed.run_batch: empty batch";
-  Array.iter
-    (fun v ->
-      if Array.length v <> t.num_inputs then
-        invalid_arg
-          (Printf.sprintf "Packed.run_batch: expected %d inputs, got %d"
-             t.num_inputs (Array.length v)))
-    inputs;
   let wordc = (lanes + word_lanes - 1) / word_lanes in
   let nv = t.num_wires * wordc in
   let vals =
     match ws with
-    | None -> Array.make nv 0
+    | Some w when Array.length w.w_vals >= nv ->
+        Array.fill w.w_vals 0 nv 0;
+        w.w_vals
     | Some w ->
-        if Array.length w.w_vals >= nv then begin
-          let v = w.w_vals in
-          Array.fill v 0 nv 0;
-          v
-        end
-        else begin
-          let v = Array.make nv 0 in
-          w.w_vals <- v;
-          v
-        end
+        let v = Array.make nv 0 in
+        w.w_vals <- v;
+        v
+    | None -> Array.make nv 0
   in
   for v = 0 to lanes - 1 do
     let wd = v / word_lanes and bit = 1 lsl (v mod word_lanes) in
@@ -1805,88 +1801,103 @@ let run_batch ?(check = false) ?pool ?(domains = 1) ?profile ?ws t inputs =
       if f <> 0 then lf.(ln).(l) <- lf.(ln).(l) + f
     done
   in
-  let now =
-    match profile with
-    | None -> fun () -> 0.
-    | Some _ -> Tcmm_util.Clock.now
-  in
-  let tock l t0 =
-    match profile with
-    | None -> ()
-    | Some p -> p.ep_level_ns.(l) <- p.ep_level_ns.(l) +. ((now () -. t0) *. 1e9)
-  in
-  (* One traversal of the circuit metadata for the whole batch: levels
-     outer, lane words handled inside each segment.  Under a pool the
-     chunks split segments (as for single-vector runs); per-chunk
-     scratch and firing buffers are preallocated once, so every level
-     runs allocation-free. *)
-  let run_levels pool_opt =
-    match pool_opt with
-    | Some pool when Pool.size pool > 1 ->
-        let maxchunks = 4 * Pool.size pool in
-        let scs = Array.init maxchunks (fun _ -> make_scratch t ~wordc) in
-        let partial = Array.init maxchunks (fun _ -> Array.make lanes 0) in
-        for l = 0 to t.levels - 1 do
-          let t0 = now () in
-          let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
-          let nseg = hi - lo in
-          if nseg = 1 then begin
-            let f = partial.(0) in
-            Array.fill f 0 lanes 0;
-            eval_batch_segs ~check t scs.(0) vals ~wordc ~lanes ~fires:f lo hi;
-            record l f
-          end
-          else if nseg > 0 then begin
-            let nchunks = min nseg maxchunks in
-            Pool.run pool ~chunks:nchunks (fun i ->
-                let a, b = chunk_bounds lo nseg nchunks i in
-                let f = partial.(i) in
-                Array.fill f 0 lanes 0;
-                eval_batch_segs ~check t scs.(i) vals ~wordc ~lanes ~fires:f a
-                  b);
-            for i = 0 to nchunks - 1 do
-              record l partial.(i)
-            done
-          end;
-          tock l t0
-        done
-    | _ ->
-        let sc = make_scratch t ~wordc in
-        let fires = Array.make lanes 0 in
-        for l = 0 to t.levels - 1 do
-          let t0 = now () in
-          let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
-          if hi > lo then begin
-            Array.fill fires 0 lanes 0;
-            eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi;
-            record l fires
-          end;
-          tock l t0
-        done
-  in
   (match pool with
-  | Some p -> run_levels (Some p)
-  | None ->
-      if domains <= 1 then run_levels None
-      else Pool.with_pool ~domains (fun p -> run_levels (Some p)));
+  | Some pool when Pool.size pool > 1 ->
+      let maxchunks = 4 * Pool.size pool in
+      let scs = Array.init maxchunks (fun _ -> make_scratch t ~wordc) in
+      let partial = Array.init maxchunks (fun _ -> Array.make lanes 0) in
+      for l = 0 to t.levels - 1 do
+        timed l (fun () ->
+            let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
+            let nseg = hi - lo in
+            if nseg = 1 then begin
+              let f = partial.(0) in
+              Array.fill f 0 lanes 0;
+              eval_batch_segs ~check t scs.(0) vals ~wordc ~lanes ~fires:f lo hi;
+              record l f
+            end
+            else if nseg > 0 then begin
+              let nchunks = min nseg maxchunks in
+              Pool.run pool ~chunks:nchunks (fun i ->
+                  let a, b = chunk_bounds lo nseg nchunks i in
+                  let f = partial.(i) in
+                  Array.fill f 0 lanes 0;
+                  eval_batch_segs ~check t scs.(i) vals ~wordc ~lanes ~fires:f
+                    a b);
+              for i = 0 to nchunks - 1 do
+                record l partial.(i)
+              done
+            end)
+      done
+  | _ ->
+      let sc = make_scratch t ~wordc in
+      let fires = Array.make lanes 0 in
+      for l = 0 to t.levels - 1 do
+        timed l (fun () ->
+            let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
+            if hi > lo then begin
+              Array.fill fires 0 lanes 0;
+              eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi;
+              record l fires
+            end)
+      done);
+  (Words { wordc; vals }, lf)
+
+(* One lane: a lone request would leave 61 of a word's 62 lanes empty,
+   so it takes the scalar walk [run] uses instead of the kernels. *)
+let run_lane ~check ~timed t ws input pool =
+  let nw = t.num_wires in
+  let values =
+    match ws with
+    | Some w when Bytes.length w.w_bytes >= nw -> w.w_bytes
+    | Some w ->
+        let b = Bytes.create nw in
+        w.w_bytes <- b;
+        b
+    | None -> Bytes.create nw
+  in
+  load_inputs t values input;
+  (Wire_bytes values, [| walk_levels ~check ~timed t values pool |])
+
+let lane_value values ~lane w =
+  match values with
+  | Words { wordc; vals } ->
+      (vals.((w * wordc) + (lane / word_lanes)) lsr (lane mod word_lanes))
+      land 1
+      = 1
+  | Wire_bytes b -> Bytes.get b w <> '\000'
+
+let run_batch ?(check = false) ?pool ?(domains = 1) ?profile ?ws t inputs =
+  let lanes = Array.length inputs in
+  if lanes = 0 then invalid_arg "Packed.run_batch: empty batch";
+  Array.iter (check_width "run_batch" t) inputs;
+  let timed =
+    match profile with
+    | None -> untimed
+    | Some p ->
+        fun l f ->
+          let t0 = Tcmm_util.Clock.now () in
+          f ();
+          p.ep_level_ns.(l) <-
+            p.ep_level_ns.(l) +. ((Tcmm_util.Clock.now () -. t0) *. 1e9)
+  in
+  let b_values, lf =
+    with_domains ?pool ~domains (fun pool ->
+        if lanes = 1 then run_lane ~check ~timed t ws inputs.(0) pool
+        else run_words ~check ~timed t ws inputs pool)
+  in
   (match profile with
   | None -> ()
   | Some p ->
       p.ep_batches <- p.ep_batches + 1;
       p.ep_lanes <- p.ep_lanes + lanes);
-  let b_outputs =
-    Array.init lanes (fun v ->
-        let wd = v / word_lanes and bit = v mod word_lanes in
-        Array.map (fun ow -> (vals.(ow * wordc + wd) lsr bit) land 1 = 1)
-          t.outputs)
-  in
-  let b_firings = Array.map (Array.fold_left ( + ) 0) lf in
   {
     b_lanes = lanes;
-    b_wordc = wordc;
-    b_vals = vals;
-    b_outputs;
-    b_firings;
+    b_values;
+    b_outputs =
+      Array.init lanes (fun lane ->
+          Array.map (lane_value b_values ~lane) t.outputs);
+    b_firings = Array.map (Array.fold_left ( + ) 0) lf;
     b_level_firings = lf;
   }
 
@@ -1910,9 +1921,7 @@ let batch_level_firings r ~lane =
 
 let batch_value r ~lane w =
   check_lane r lane;
-  (r.b_vals.((w * r.b_wordc) + (lane / word_lanes)) lsr (lane mod word_lanes))
-  land 1
-  = 1
+  lane_value r.b_values ~lane w
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                        *)
@@ -2023,10 +2032,17 @@ let load ?(kernels = true) ?(recompile = false) s =
         <> s.sec_grp_off.(s.sec_seg_grp.(seg + 1))
       then fail "segment %d fan/group extent mismatch" seg
     done;
-    (* Bounds that make the evaluators' unsafe accesses safe. *)
-    for e = 0 to nedges - 1 do
-      let w = bget s.sec_pool_wires e in
-      if w < 0 || w >= num_wires then fail "edge %d reads out-of-range wire" e
+    (* Bounds that make the evaluators' unsafe accesses safe, and every
+       edge carrying its group's weight: unchecked sums multiply group
+       counts by [grp_weight], checked ones add [pool_weights]. *)
+    for g = 0 to ngroups - 1 do
+      let wt = s.sec_grp_weight.(g) in
+      for e = s.sec_grp_off.(g) to s.sec_grp_off.(g + 1) - 1 do
+        let w = bget s.sec_pool_wires e in
+        if w < 0 || w >= num_wires then fail "edge %d reads out-of-range wire" e;
+        if bget s.sec_pool_weights e <> wt then
+          fail "edge %d weight differs from its group's" e
+      done
     done;
     for g = 0 to ng - 1 do
       let w = bget s.sec_g_wire g in

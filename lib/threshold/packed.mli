@@ -103,8 +103,11 @@ val coverage : t -> coverage
 
 val run :
   ?check:bool -> ?pool:Pool.t -> ?domains:int -> t -> bool array -> Simulator.result
-(** [run t inputs] evaluates one input vector.  [check] (default
-    [false]) enables overflow-checked accumulation.  With [?pool] (or
+(** [run t inputs] evaluates one input vector by the scalar level walk:
+    one byte per wire, and each segment's sum taken one weight group at
+    a time (a branch-free count of the group's set wires, then one
+    multiply by its weight).  [check] (default [false]) instead adds
+    edge by edge with overflow checking.  With [?pool] (or
     [?domains] > 1, which spins up a transient pool) levels are
     evaluated in parallel; [~domains:1] (the default) is a tight
     sequential loop.  The result is bit-identical to
@@ -183,7 +186,11 @@ val session_stats : session -> session_stats
     {!of_arena}).  On the paper's circuits only ~8% of wires carry a 1,
     which is where the per-vector speedup over {!run} comes from.  This
     is the natural entry point for {!Energy.measure}, validation sweeps
-    and randomized agreement testing. *)
+    and randomized agreement testing.
+
+    A batch of {b one} lane (a lone served request) skips the kernels,
+    which would carry 61 empty lanes, and takes {!run}'s scalar level
+    walk instead; results are bit-identical either way. *)
 
 type batch_result
 
@@ -197,15 +204,19 @@ type eval_profile = {
 
 val make_profile : t -> eval_profile
 
-(** A reusable wire-value buffer for repeated batched runs.  A fresh
-    buffer for the N=16 matmul circuit is ~13 MB, and allocating plus
-    zeroing one per call costs several milliseconds before any gate is
-    evaluated; a workspace amortizes that to one [Array.fill].
+(** Reusable wire-value buffers for repeated batched runs: lane words
+    for kernel batches and a byte-per-wire buffer for one-lane batches,
+    each grown on demand and kept.  A fresh word buffer for the N=16
+    matmul circuit is ~13 MB, and allocating plus zeroing one per call
+    costs several milliseconds before any gate is evaluated; a
+    workspace amortizes that to one fill of the part the circuit uses.
     Opt-in because it aliases: {!batch_value} on a result whose run
-    used [ws] is only valid until the next [run_batch] with the same
-    workspace ([batch_outputs] / [batch_firings] /
-    [batch_level_firings] are copied out eagerly and stay valid).  A
-    workspace must not be shared by concurrent [run_batch] calls. *)
+    used [ws] reads the workspace's buffer (the byte buffer for a
+    one-lane batch) and is only valid until the next [run_batch] with
+    the same workspace, whatever its lane count ([batch_outputs] /
+    [batch_firings] / [batch_level_firings] are copied out eagerly and
+    stay valid).  A workspace must not be shared by concurrent
+    [run_batch] calls. *)
 type workspace
 
 val workspace : unit -> workspace
@@ -219,8 +230,13 @@ val run_batch :
   t ->
   bool array array ->
   batch_result
-(** Raises [Invalid_argument] on an empty batch or a wrongly-sized
-    input vector. *)
+(** [run_batch t inputs] evaluates every vector of [inputs] (one lane
+    each).  Two or more lanes go through the 62-lane kernels; a single
+    lane goes through {!run}'s scalar level walk, writing into the
+    workspace's byte buffer.  [check], [pool], [domains] and [profile]
+    mean the same on both routes: [profile] counts one batch and its
+    lanes and adds each level's wall time.  Raises [Invalid_argument]
+    on an empty batch or a wrongly-sized input vector. *)
 
 val lanes : batch_result -> int
 val batch_outputs : batch_result -> lane:int -> bool array

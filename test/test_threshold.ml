@@ -952,11 +952,14 @@ let test_packed_batch_multiword () =
 
 (* Lane counts straddling the 62-bit word boundary: 61 (one partial
    word), 62 (one exactly-full word), 63 (a one-lane second word) and
-   124 (two full words).  The circuit goes through a Direct-mode arena
-   so the specialized kernels (not just the generic CSR loop) sit on
-   the dispatch path, and every batch is checked bit-identically
-   against both the kernel-free batch and the sequential evaluator.
-   One workspace is reused across the growing batches on purpose. *)
+   124 (two full words), with lone lanes (the scalar walk) in between.
+   The circuit goes through a Direct-mode arena so the specialized
+   kernels (not just the generic CSR loop) sit on the dispatch path,
+   and every batch is checked bit-identically against both the
+   kernel-free batch and the sequential evaluator; each lone lane is
+   also checked wire by wire against the reference simulator and lane
+   0 of a kernel batch.  One workspace is reused across every batch on
+   purpose. *)
 let test_packed_batch_lane_boundaries () =
   let rng = Tcmm_util.Prng.create ~seed:7 in
   let b = Builder.create ~mode:Builder.Direct () in
@@ -1001,6 +1004,7 @@ let test_packed_batch_lane_boundaries () =
   S.check_int "no-kernels compile is all-fallback" 0
     (Packed.coverage p_g).Packed.kernel_segments;
   let ws = Packed.workspace () in
+  let c = Packed.circuit p_k in
   List.iter
     (fun lanes ->
       let batch =
@@ -1010,6 +1014,25 @@ let test_packed_batch_lane_boundaries () =
       let bk = Packed.run_batch ~ws p_k batch in
       let bg = Packed.run_batch p_g batch in
       S.check_int "lanes" lanes (Packed.lanes bk);
+      if lanes = 1 then begin
+        let r = Simulator.run c batch.(0) in
+        let kb = Packed.run_batch p_k [| batch.(0); batch.(0) |] in
+        for w = 0 to Circuit.num_wires c - 1 do
+          S.check_bool "lone lane wire = simulator" (Simulator.value r w)
+            (Packed.batch_value bk ~lane:0 w);
+          S.check_bool "lone lane wire = kernel lane 0"
+            (Packed.batch_value kb ~lane:0 w)
+            (Packed.batch_value bk ~lane:0 w)
+        done;
+        S.check_bool "lone lane outputs = kernel lane 0" true
+          (Packed.batch_outputs bk ~lane:0 = Packed.batch_outputs kb ~lane:0);
+        S.check_int "lone lane firings = kernel lane 0"
+          (Packed.batch_firings kb ~lane:0)
+          (Packed.batch_firings bk ~lane:0);
+        S.check_bool "lone lane level firings = kernel lane 0" true
+          (Packed.batch_level_firings bk ~lane:0
+          = Packed.batch_level_firings kb ~lane:0)
+      end;
       for lane = 0 to lanes - 1 do
         let r = Packed.run p_k batch.(lane) in
         S.check_bool "outputs: kernel batch = generic batch" true
@@ -1023,7 +1046,7 @@ let test_packed_batch_lane_boundaries () =
         S.check_bool "level firings" true
           (Packed.batch_level_firings bk ~lane = r.Simulator.level_firings)
       done)
-    [ 61; 62; 63; 124 ]
+    [ 1; 61; 62; 1; 63; 124; 1 ]
 
 let test_packed_zero_gates () =
   let b = Builder.create () in
@@ -1062,9 +1085,72 @@ let test_packed_overflow_all_engines () =
   traps "packed par" (fun () -> Packed.run ~check:true ~domains:3 p input);
   traps "packed batch" (fun () ->
       Packed.run_batch ~check:true p [| input; input |]);
-  (* Unchecked evaluation still agrees with the (wrapping) reference. *)
-  S.check_bool "unchecked agrees" true
-    (same_result (Simulator.run c input) (Packed.run p input))
+  traps "packed one-lane batch" (fun () ->
+      Packed.run_batch ~check:true p [| input |]);
+  (* Unchecked evaluation still agrees with the (wrapping) reference,
+     the grouped one-lane sum included. *)
+  let r = Simulator.run c input in
+  S.check_bool "unchecked agrees" true (same_result r (Packed.run p input));
+  let one = Packed.run_batch p [| input |] in
+  S.check_bool "unchecked one lane agrees" true
+    (Packed.batch_level_firings one ~lane:0 = r.Simulator.level_firings
+    && Simulator.value r 3 = Packed.batch_value one ~lane:0 3)
+
+(* [--profile-eval] reads these counters: a lone lane (the scalar walk)
+   must count as a batch and fill every level's time like a kernel
+   batch does.  Enough repetitions that even a sub-microsecond level
+   crosses a clock tick. *)
+let test_packed_one_lane_profile () =
+  let b = Builder.create () in
+  let n = 64 in
+  let ins = Builder.add_inputs b n in
+  let layer =
+    Builder.add_shared_gates b ~inputs:ins ~weights:(Array.make n 1)
+      ~thresholds:[| 8; 16; 32; 48 |]
+  in
+  let top =
+    Builder.add_gate b ~inputs:layer ~weights:[| 1; 1; 1; 1 |] ~threshold:2
+  in
+  Builder.output b top;
+  let p = Packed.of_circuit (Builder.finalize b) in
+  let rng = Tcmm_util.Prng.create ~seed:11 in
+  let prof = Packed.make_profile p in
+  let reps = 2000 in
+  for _ = 1 to reps do
+    let input = Array.init n (fun _ -> Tcmm_util.Prng.bool rng) in
+    ignore (Packed.run_batch ~profile:prof p [| input |])
+  done;
+  S.check_int "one batch per lone lane" reps prof.Packed.ep_batches;
+  S.check_int "one lane per lone lane" reps prof.Packed.ep_lanes;
+  S.check_int "a time per level" (Packed.num_levels p)
+    (Array.length prof.Packed.ep_level_ns);
+  Array.iteri
+    (fun l ns ->
+      S.check_bool (Printf.sprintf "level %d timed" l) true (ns > 0.))
+    prof.Packed.ep_level_ns
+
+(* Unchecked sums multiply a group's count by the group weight; checked
+   sums and session deltas add each edge's own weight.  A loaded section
+   set where the two disagree must be refused, not evaluated two ways. *)
+let test_packed_load_rejects_stray_weight () =
+  let b = Builder.create () in
+  let ins = Builder.add_inputs b 6 in
+  let layer =
+    Builder.add_shared_gates b ~inputs:ins ~weights:[| 1; 1; 1; -2; -2; -2 |]
+      ~thresholds:[| -1; 1; 2 |]
+  in
+  Array.iter (Builder.output b) layer;
+  let s = Packed.save (Packed.of_circuit (Builder.finalize b)) in
+  S.check_bool "clean sections load" true (Result.is_ok (Packed.load s));
+  let w = s.Packed.sec_pool_weights in
+  let stray =
+    Bigarray.Array1.create Bigarray.int Bigarray.c_layout
+      (Bigarray.Array1.dim w)
+  in
+  Bigarray.Array1.blit w stray;
+  stray.{0} <- 5;
+  S.check_bool "stray edge weight refused" true
+    (Result.is_error (Packed.load { s with Packed.sec_pool_weights = stray }))
 
 let test_engine_cache_reuse () =
   let b = Builder.create () in
@@ -1194,6 +1280,9 @@ let () =
           Alcotest.test_case "zero gates" `Quick test_packed_zero_gates;
           Alcotest.test_case "overflow traps everywhere" `Quick
             test_packed_overflow_all_engines;
+          Alcotest.test_case "one-lane profile" `Quick test_packed_one_lane_profile;
+          Alcotest.test_case "load rejects stray weight" `Quick
+            test_packed_load_rejects_stray_weight;
           Alcotest.test_case "engine cache" `Quick test_engine_cache_reuse;
           Alcotest.test_case "engine cache alternation" `Quick
             test_engine_cache_alternation;
