@@ -5,9 +5,10 @@ module Stats = Tcmm_threshold.Stats
 module Encode = Tcmm.Encode
 module Repr = Tcmm_arith.Repr
 
-(* v2: section CRCs cover the full 63-bit word (v1 masked out the sign
-   bit, leaving sign flips of stored weights undetectable). *)
-let format_version = 2
+(* v3: wire ids are int32 sections, edges carry no weight of their own,
+   and the kernel section is a table of distinct specs plus a
+   per-segment index. *)
+let format_version = 3
 let magic = "TCMMART1"
 let page = 4096
 let page_words = page / 8
@@ -20,7 +21,13 @@ type io =
     }
   | Trace_io of { layout : Encode.t; output : Tcmm_threshold.Wire.t; tau : int }
 
-type section = { s_name : string; s_off : int; s_len : int; s_crc : int * int }
+type section = {
+  s_name : string;
+  s_off : int;
+  s_len : int;
+  s_width : int;
+  s_crc : int * int;
+}
 
 type header = {
   h_format : int;
@@ -36,6 +43,7 @@ type header = {
   h_segments : int;
   h_groups : int;
   h_edges : int;
+  h_kern_specs : int;
   h_stats : Stats.t;
   h_io : io;
   h_sections : section list;
@@ -123,9 +131,10 @@ let stats_codec : Stats.t Codec.t =
 
 let section_codec : section Codec.t =
   Codec.view
-    ~inject:(fun s -> ((s.s_name, s.s_off, s.s_len), s.s_crc))
-    ~extract:(fun ((s_name, s_off, s_len), s_crc) -> { s_name; s_off; s_len; s_crc })
-    Codec.(pair (triple string int int) (pair int int))
+    ~inject:(fun s -> ((s.s_name, s.s_off, s.s_len), (s.s_width, s.s_crc)))
+    ~extract:(fun ((s_name, s_off, s_len), (s_width, s_crc)) ->
+      { s_name; s_off; s_len; s_width; s_crc })
+    Codec.(pair (triple string int int) (pair int (pair int int)))
 
 let header_codec : header Codec.t =
   Codec.view
@@ -134,14 +143,14 @@ let header_codec : header Codec.t =
           (h.h_templates, h.h_kernels),
           (h.h_created, h.h_build_seconds) ),
         ( (h.h_num_inputs, h.h_num_gates, h.h_levels),
-          (h.h_segments, h.h_groups, h.h_edges) ),
+          ((h.h_segments, h.h_groups, h.h_edges), h.h_kern_specs) ),
         (h.h_stats, h.h_io, h.h_sections) ))
     ~extract:(fun
         ( ( (h_format, h_kernel_rev, h_key),
             (h_templates, h_kernels),
             (h_created, h_build_seconds) ),
           ( (h_num_inputs, h_num_gates, h_levels),
-            (h_segments, h_groups, h_edges) ),
+            ((h_segments, h_groups, h_edges), h_kern_specs) ),
           (h_stats, h_io, h_sections) )
       ->
       {
@@ -158,6 +167,7 @@ let header_codec : header Codec.t =
         h_segments;
         h_groups;
         h_edges;
+        h_kern_specs;
         h_stats;
         h_io;
         h_sections;
@@ -165,28 +175,18 @@ let header_codec : header Codec.t =
     Codec.(
       triple
         (triple (triple int int string) (pair bool bool) (pair float float))
-        (pair (triple int int int) (triple int int int))
+        (pair (triple int int int) (pair (triple int int int) int))
         (triple stats_codec io_codec (list section_codec)))
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type ivec = Packed.ivec
+(* A section's in-memory source: an int32 vector (4-byte elements), or
+   an off-heap vector or OCaml int array (8-byte words). *)
+type src = I32 of Packed.i32vec | Vec of Packed.ivec | Arr of int array
 
-(* A section's in-memory source: either an off-heap vector or an OCaml
-   int array — both are written as raw words. *)
-type src = Vec of ivec | Arr of int array
-
-let src_crc ~len = function
-  | Vec v -> Crc64.digest (Crc64.feed_ivec Crc64.init v ~pos:0 ~len)
-  | Arr a ->
-      let c = ref Crc64.init in
-      for i = 0 to len - 1 do
-        c := Crc64.feed_word !c a.(i)
-      done;
-      Crc64.digest !c
-
+let width_of = function I32 _ -> 4 | Vec _ | Arr _ -> 8
 let round_up_words w = (w + page_words - 1) / page_words * page_words
 
 let sections_of (s : Packed.sections) =
@@ -195,10 +195,9 @@ let sections_of (s : Packed.sections) =
   let nedges = s.Packed.sec_grp_off.(ngroups) in
   let ng = s.Packed.sec_num_gates in
   [
-    ("pool_wires", nedges, Vec s.Packed.sec_pool_wires);
-    ("pool_weights", nedges, Vec s.Packed.sec_pool_weights);
+    ("pool_wires", nedges, I32 s.Packed.sec_pool_wires);
     ("g_threshold", ng, Vec s.Packed.sec_g_threshold);
-    ("g_wire", ng, Vec s.Packed.sec_g_wire);
+    ("g_wire", ng, I32 s.Packed.sec_g_wire);
     ("seg_off", nsegs, Arr s.Packed.sec_seg_off);
     ("seg_fan", nsegs, Arr s.Packed.sec_seg_fan);
     ("seg_gates", nsegs + 1, Arr s.Packed.sec_seg_gates);
@@ -207,7 +206,8 @@ let sections_of (s : Packed.sections) =
     ("grp_weight", ngroups, Arr s.Packed.sec_grp_weight);
     ("level_segs", Array.length s.Packed.sec_level_segs, Arr s.Packed.sec_level_segs);
     ("outputs", Array.length s.Packed.sec_outputs, Arr s.Packed.sec_outputs);
-    ("kern", Array.length s.Packed.sec_kern, Arr s.Packed.sec_kern);
+    ("kern_table", Array.length s.Packed.sec_kern_table, Arr s.Packed.sec_kern_table);
+    ("kern_index", Array.length s.Packed.sec_kern_index, Arr s.Packed.sec_kern_index);
   ]
 
 let crc_string s = Crc64.digest (Crc64.feed_string Crc64.init s)
@@ -219,9 +219,33 @@ let unpack_crc c =
   ( Int64.to_int (Int64.shift_right_logical c 32),
     Int64.to_int (Int64.logand c 0xFFFFFFFFL) )
 
-let map_words fd ~shared words =
+(* A section's elements, mapped at its page-aligned offset. *)
+let map_section fd ~shared kind s =
   Bigarray.array1_of_genarray
-    (Unix.map_file fd Bigarray.int Bigarray.c_layout shared [| words |])
+    (Unix.map_file fd ~pos:(Int64.of_int (s.s_off * 8)) kind Bigarray.c_layout
+       shared [| s.s_len |])
+
+(* Copy a source into its mapped section and checksum the bytes as
+   they now sit in the file — the same bytes a reader verifies. *)
+let write_section fd s src =
+  let crc feed m = Crc64.digest (feed Crc64.init m ~pos:0 ~len:s.s_len) in
+  if s.s_len = 0 then Crc64.digest Crc64.init
+  else
+    match src with
+    | I32 v ->
+        let m = map_section fd ~shared:true Bigarray.int32 s in
+        Bigarray.Array1.blit (Bigarray.Array1.sub v 0 s.s_len) m;
+        crc Crc64.feed_i32vec m
+    | Vec v ->
+        let m = map_section fd ~shared:true Bigarray.int s in
+        Bigarray.Array1.blit (Bigarray.Array1.sub v 0 s.s_len) m;
+        crc Crc64.feed_ivec m
+    | Arr a ->
+        let m = map_section fd ~shared:true Bigarray.int s in
+        for i = 0 to s.s_len - 1 do
+          Bigarray.Array1.unsafe_set m i a.(i)
+        done;
+        crc Crc64.feed_ivec m
 
 let write ~path meta packed =
   match
@@ -246,52 +270,44 @@ let write ~path meta packed =
         h_segments = Array.length secs.Packed.sec_seg_off;
         h_groups = ngroups;
         h_edges = secs.Packed.sec_grp_off.(ngroups);
+        h_kern_specs = Array.fold_left max (-1) secs.Packed.sec_kern_index + 1;
         h_stats = meta.m_stats;
         h_io = meta.m_io;
         h_sections = placed;
       }
     in
-    let dummy =
-      List.map (fun (s_name, len, _) -> { s_name; s_off = 0; s_len = len; s_crc = (0, 0) }) srcs
-    in
-    let header_bytes_len = String.length (Codec.encode header_codec (mk_header dummy)) in
-    let payload_start = round_up_words ((8 + 8 + header_bytes_len + 8 + 7) / 8) in
-    let cursor = ref payload_start in
-    let placed =
+    let sized =
       List.map
         (fun (s_name, len, src) ->
-          let s_off = !cursor in
-          cursor := round_up_words (!cursor + len);
-          { s_name; s_off; s_len = len; s_crc = src_crc ~len src })
+          { s_name; s_off = 0; s_len = len; s_width = width_of src; s_crc = (0, 0) })
         srcs
     in
+    let hlen = String.length (Codec.encode header_codec (mk_header sized)) in
+    let cursor = ref (round_up_words ((8 + 8 + hlen + 8 + 7) / 8)) in
+    let laid_out =
+      List.map
+        (fun s ->
+          let s = { s with s_off = !cursor } in
+          cursor := round_up_words (!cursor + (((s.s_len * s.s_width) + 7) / 8));
+          s)
+        sized
+    in
     let total_words = !cursor in
-    let hdr = Codec.encode header_codec (mk_header placed) in
-    assert (String.length hdr = header_bytes_len);
     let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
         Unix.ftruncate fd (total_words * 8);
-        (if total_words > payload_start then begin
-           let map = map_words fd ~shared:true total_words in
-           List.iter2
-             (fun { s_off; s_len; _ } (_, _, src) ->
-               match src with
-               | Vec v ->
-                   if s_len > 0 then
-                     Bigarray.Array1.blit
-                       (Bigarray.Array1.sub v 0 s_len)
-                       (Bigarray.Array1.sub map s_off s_len)
-               | Arr a ->
-                   for i = 0 to s_len - 1 do
-                     Bigarray.Array1.unsafe_set map (s_off + i) a.(i)
-                   done)
-             placed srcs
-         end);
+        let placed =
+          List.map2
+            (fun s (_, _, src) -> { s with s_crc = write_section fd s src })
+            laid_out srcs
+        in
+        let hdr = Codec.encode header_codec (mk_header placed) in
+        assert (String.length hdr = hlen);
         let head = Buffer.create (page :> int) in
         Buffer.add_string head magic;
-        Buffer.add_int64_le head (Int64.of_int (String.length hdr));
+        Buffer.add_int64_le head (Int64.of_int hlen);
         Buffer.add_string head hdr;
         Buffer.add_int64_le head (pack_crc (crc_string hdr));
         let hb = Buffer.to_bytes head in
@@ -351,10 +367,12 @@ let read_header ~path =
   | exception Bad m -> Error m
   | exception e -> Error (Printexc.to_string e)
 
-let find_section h name =
+let find_section h name ~width =
   match List.find_opt (fun s -> s.s_name = name) h.h_sections with
-  | Some s -> s
   | None -> bad "missing section %S" name
+  | Some s when s.s_width <> width ->
+      bad "section %S has element width %d, expected %d" name s.s_width width
+  | Some s -> s
 
 let read ?(kernels = true) ?key ~path () =
   match
@@ -367,43 +385,45 @@ let read ?(kernels = true) ?key ~path () =
         | Some k when k <> h.h_key ->
             bad "spec key mismatch: artifact is for %S, wanted %S" h.h_key k
         | _ -> ());
-        if size mod 8 <> 0 then bad "file size not word-aligned";
-        let total_words = size / 8 in
         List.iter
           (fun s ->
-            if s.s_off < 0 || s.s_len < 0 || s.s_off + s.s_len > total_words then
-              bad "section %S out of bounds (truncated file?)" s.s_name)
+            if s.s_width <> 4 && s.s_width <> 8 then
+              bad "section %S has element width %d" s.s_name s.s_width;
+            if
+              s.s_off < 0 || s.s_len < 0
+              || s.s_len > size / s.s_width
+              || s.s_off > (size - (s.s_len * s.s_width)) / 8
+            then bad "section %S out of bounds (truncated file?)" s.s_name)
           h.h_sections;
-        let map = map_words fd ~shared:false total_words in
-        let sec name =
-          let s = find_section h name in
-          if not (Crc64.equal s.s_crc
-                    (Crc64.digest (Crc64.feed_ivec Crc64.init map ~pos:s.s_off ~len:s.s_len)))
+        (* Map one section and checksum it through the mapping; returns
+           its length and elements.  The evaluators index padded
+           vectors, so an empty section still needs one backing
+           element. *)
+        let mapped kind feed ~width name =
+          let s = find_section h name ~width in
+          let m =
+            if s.s_len > 0 then map_section fd ~shared:false kind s
+            else Bigarray.Array1.create kind Bigarray.c_layout 1
+          in
+          if not (Crc64.equal s.s_crc (Crc64.digest (feed Crc64.init m ~pos:0 ~len:s.s_len)))
           then bad "section %S checksum mismatch" s.s_name;
-          s
+          (s.s_len, m)
         in
-        (* The evaluators index padded vectors, so an empty section
-           still needs one backing word. *)
-        let vec name =
-          let s = sec name in
-          if s.s_len > 0 then Bigarray.Array1.sub map s.s_off s.s_len
-          else Bigarray.Array1.create Bigarray.int Bigarray.c_layout 1
-        in
+        let i32 name = snd (mapped Bigarray.int32 Crc64.feed_i32vec ~width:4 name) in
+        let vec name = snd (mapped Bigarray.int Crc64.feed_ivec ~width:8 name) in
         let arr name =
-          let s = sec name in
-          Array.init s.s_len (fun i -> Bigarray.Array1.get map (s.s_off + i))
+          let len, v = mapped Bigarray.int Crc64.feed_ivec ~width:8 name in
+          Array.init len (Bigarray.Array1.get v)
         in
-        let kern_section = arr "kern" in
         let kern_recompiled = h.h_kernel_rev <> Kernel.format_rev in
         let sections =
           {
             Packed.sec_num_inputs = h.h_num_inputs;
             sec_num_gates = h.h_num_gates;
             sec_levels = h.h_levels;
-            sec_pool_wires = vec "pool_wires";
-            sec_pool_weights = vec "pool_weights";
+            sec_pool_wires = i32 "pool_wires";
             sec_g_threshold = vec "g_threshold";
-            sec_g_wire = vec "g_wire";
+            sec_g_wire = i32 "g_wire";
             sec_seg_off = arr "seg_off";
             sec_seg_fan = arr "seg_fan";
             sec_seg_gates = arr "seg_gates";
@@ -412,7 +432,8 @@ let read ?(kernels = true) ?key ~path () =
             sec_grp_weight = arr "grp_weight";
             sec_level_segs = arr "level_segs";
             sec_outputs = arr "outputs";
-            sec_kern = kern_section;
+            sec_kern_table = arr "kern_table";
+            sec_kern_index = arr "kern_index";
           }
         in
         match
@@ -449,6 +470,8 @@ let pp_header ppf h =
     tm.Unix.tm_min tm.Unix.tm_sec h.h_build_seconds;
   fprintf ppf "circuit:       %d inputs, %d gates, %d levels, %d segments, %d groups, %d edges@,"
     h.h_num_inputs h.h_num_gates h.h_levels h.h_segments h.h_groups h.h_edges;
+  fprintf ppf "kernel table:  %d distinct specs for %d segments@," h.h_kern_specs
+    h.h_segments;
   fprintf ppf "stats:         %a@," Stats.pp h.h_stats;
   (match h.h_io with
   | Matmul_io { layout_a; _ } ->
@@ -461,7 +484,8 @@ let pp_header ppf h =
   fprintf ppf "sections:@,";
   List.iter
     (fun s ->
-      fprintf ppf "  %-14s off %10d  words %10d  crc %s@," s.s_name s.s_off s.s_len
-        (Crc64.to_hex s.s_crc))
+      fprintf ppf "  %-14s off %10d  %-5s x %10d  crc %s@," s.s_name s.s_off
+        (if s.s_width = 4 then "int32" else "int")
+        s.s_len (Crc64.to_hex s.s_crc))
     h.h_sections;
   fprintf ppf "@]"

@@ -1,26 +1,35 @@
 (** One compiled-circuit artifact file: self-describing header + the
-    packed CSR sections as page-aligned flat words.
+    packed CSR sections as page-aligned flat arrays.
 
-    {b Layout.}  A file is [magic "TCMMART1"], a u64 header length, the
-    {!Codec}-encoded {!header}, a CRC-64 of those header bytes, zero
-    padding to a 4 KiB boundary, then each section's words at a
-    page-aligned offset recorded in the header's section table.  The
-    header carries everything needed to interpret the payload —
-    format/kernel revisions, the spec key, builder flags, structural
-    counts, circuit stats, the I/O descriptor, and per-section
-    [(offset, length, CRC-64)] — so a load is: read + checksum + decode
-    the header, one [Unix.map_file] of the whole file, checksum each
-    section through the mapped view, and adopt the big vectors by
-    aliasing ({!Tcmm_threshold.Packed.load} re-validates structure).
-    No per-gate deserialization happens anywhere.
+    {b Layout} (format v3).  A file is [magic "TCMMART1"], a u64 header
+    length, the {!Codec}-encoded {!header}, a CRC-64 of those header
+    bytes, zero padding to a 4 KiB boundary, then each section's
+    elements at a page-aligned offset recorded in the header's section
+    table, zero-padded to the next page.  Wire ids ([pool_wires],
+    [g_wire]) are int32 sections; everything else is 8-byte words.
+    Edges carry no weight of their own (an edge's weight is its
+    group's), and the kernel dispatch is a table of the distinct encoded
+    specs ([kern_table]) plus a per-segment index into it
+    ([kern_index]).  The header carries
+    everything needed to interpret the payload — format/kernel
+    revisions, the spec key, builder flags, structural counts, circuit
+    stats, the I/O descriptor, and per-section [(offset, length, element
+    width, CRC-64)] — so a load is: read + checksum + decode the header,
+    one [Unix.map_file] per section (int32 sections as int32
+    Bigarrays), checksum each section through its mapping, and adopt
+    the big vectors by aliasing ({!Tcmm_threshold.Packed.load}
+    re-validates structure and decodes each distinct kernel spec once).
+    No per-gate deserialization happens anywhere.  There is no reader
+    for older formats: they are refused as stale.
 
     {b Checksums.}  The header CRC is over its exact bytes.  Section
-    CRCs are over {i logical 63-bit words} — each OCaml int contributes
-    its eight little-endian bytes with bit 63 as zero — which is
-    precisely what an [int]-kind Bigarray view of the file yields, so
-    verification streams straight out of the mapping.  (A flip of a
-    stored word's bit 63 is the one undetectable corruption, and it is
-    also value-neutral: the loaded int is unchanged.)
+    CRCs are over every content byte: the four little-endian bytes of
+    each int32 element, or the eight of each word — an OCaml int's
+    63-bit value with bit 63 as zero, which is precisely what an
+    [int]-kind Bigarray view of the file yields, so verification streams
+    straight out of the mapping.  (A flip of a stored word's bit 63 is
+    the one undetectable corruption, and it is also value-neutral: the
+    loaded int is unchanged.)
 
     {b Atomicity} (temp file + rename) and quarantine policy live in
     {!Store}; this module reads and writes single paths. *)
@@ -42,8 +51,9 @@ type io =
 
 type section = {
   s_name : string;
-  s_off : int;  (** word offset from the start of the file *)
-  s_len : int;  (** length in words *)
+  s_off : int;  (** offset from the start of the file, in 8-byte words *)
+  s_len : int;  (** length in elements *)
+  s_width : int;  (** bytes per element: 4 (int32) or 8 (word) *)
   s_crc : int * int;
 }
 
@@ -61,6 +71,7 @@ type header = {
   h_segments : int;
   h_groups : int;
   h_edges : int;
+  h_kern_specs : int;  (** distinct kernel specs in [kern_table] *)
   h_stats : Tcmm_threshold.Stats.t;
   h_io : io;
   h_sections : section list;
@@ -97,8 +108,8 @@ val write :
 val read :
   ?kernels:bool -> ?key:string -> path:string -> unit -> (t, string) result
 (** Load and fully verify an artifact: magic, header CRC + decode,
-    format version, [key] match when given, section bounds, every
-    section CRC, then {!Tcmm_threshold.Packed.load}.  [Error] is a
+    format version, [key] match when given, section bounds and widths,
+    every section CRC, then {!Tcmm_threshold.Packed.load}.  [Error] is a
     human-readable reason; the file is untouched either way. *)
 
 val read_header : path:string -> (header * int, string) result

@@ -271,7 +271,9 @@ let cmp_le cnt ~base ~bits ~c ~full =
   end
 
 (* Flat int-array codec for spec arrays, used by the artifact store to
-   persist each segment's dispatch decision.  The encoding is
+   persist a circuit's distinct dispatch decisions as one table that
+   segments index into (segments stamped from one template share a
+   spec, so the table stays small).  The encoding is
    positional — [tag; fields...; payload-length; payload...] per spec —
    so a decoder reading a stream produced by a different compiler
    revision would misparse; [format_rev] guards against that: artifacts

@@ -149,8 +149,9 @@ val cmp_le : int array -> base:int -> bits:int -> c:int -> full:int -> int
 (** {1 Persistence}
 
     Flat int-array codec for spec arrays, so the artifact store can
-    persist each segment's dispatch decision alongside the CSR pools
-    and a warm load skips {!compile} entirely. *)
+    persist a circuit's distinct dispatch decisions — one table per
+    artifact, which each segment indexes — alongside the CSR pools, and
+    a warm load skips {!compile} entirely. *)
 
 val format_rev : int
 (** Revision of the encoding {i and} of the compile heuristics.  Bump

@@ -5,21 +5,36 @@ module Checked = Tcmm_util.Checked
 (* Off-heap storage                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The hot CSR arrays (edge wires, edge weights, gate thresholds, gate
-   output wires) live in Bigarray storage: off the OCaml heap, so the
-   GC never scans or moves the circuit metadata (hundreds of MB at
-   N=32), and unsafe accesses compile to direct loads with no tag
-   arithmetic.  [Array1.create] leaves the storage uninitialized — both
-   constructors below write every live slot, and the one padding slot
-   of an empty array is never read. *)
+(* The hot CSR arrays (edge wires, gate thresholds, gate output wires)
+   live in Bigarray storage: off the OCaml heap, so the GC never scans
+   or moves the circuit metadata (hundreds of MB at N=32), and unsafe
+   accesses compile to direct loads with no tag arithmetic.
+   [Array1.create] leaves the storage uninitialized — both constructors
+   below write every live slot, and the one padding slot of an empty
+   array is never read. *)
 type ivec = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Wire ids are int32: half the bytes of a native int per pooled edge,
+   and the largest circuits served here are orders of magnitude below
+   [max_wires] (mm N=32 has 9.7M gates). *)
+type i32vec = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let max_wires = 1 lsl 31
 
 let ba_create n : ivec =
   Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max n 1)
 
+let ba32_create n : i32vec =
+  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max n 1)
+
 let ba_of_array a =
   let b = ba_create (Array.length a) in
   Array.iteri (fun i x -> Bigarray.Array1.unsafe_set b i x) a;
+  b
+
+let ba32_of_array a =
+  let b = ba32_create (Array.length a) in
+  Array.iteri (fun i x -> Bigarray.Array1.unsafe_set b i (Int32.of_int x)) a;
   b
 
 (* Eta-expanded on purpose: a bare alias of the primitive is a closure
@@ -28,6 +43,20 @@ let ba_of_array a =
    call site. *)
 let[@inline always] bget (v : ivec) i = Bigarray.Array1.unsafe_get v i
 let[@inline always] bset (v : ivec) i x = Bigarray.Array1.unsafe_set v i x
+
+(* With the element kind known here, the int32 load and its widening
+   compile to one sign-extending load: no [Int32] is ever boxed. *)
+let[@inline always] wget (v : i32vec) i =
+  Int32.to_int (Bigarray.Array1.unsafe_get v i)
+
+let[@inline always] wset (v : i32vec) i x =
+  Bigarray.Array1.unsafe_set v i (Int32.of_int x)
+
+let check_wire_count name num_wires =
+  if num_wires > max_wires then
+    invalid_arg
+      (Printf.sprintf "Packed.%s: %d wires do not fit 32-bit wire ids" name
+         num_wires)
 
 (* ------------------------------------------------------------------ *)
 (* Packed representation                                              *)
@@ -46,9 +75,10 @@ type t = {
      physically share their input/weight arrays; consecutive gates (in
      level order) sharing arrays collapse into one *segment*, so the
      pools hold each shared array once — for the big matmul circuits
-     this is ~250x smaller than the logical edge count. *)
-  pool_wires : ivec;
-  pool_weights : ivec;
+     this is ~250x smaller than the logical edge count.  Edges carry no
+     weight of their own: every edge of a weight group has the group's
+     weight (below). *)
+  pool_wires : i32vec;
   (* Per segment: pool offset, fan-in, and the packed-gate range
      [seg_gates.(s), seg_gates.(s+1)) of gates sharing that sum. *)
   seg_off : int array;
@@ -73,7 +103,7 @@ type t = {
   (* Per packed gate (level-major order; thresholds ascend within each
      segment so the firing gates of a segment are a prefix). *)
   g_threshold : ivec;
-  g_wire : ivec;  (* output wire id *)
+  g_wire : i32vec;  (* output wire id *)
   outputs : int array;
   max_seg_gates : int;
   (* Per segment: the specialized batch evaluator compiled from the
@@ -84,8 +114,7 @@ type t = {
   k_gates : int;  (* gates covered by a non-generic kernel *)
   k_segs : int;
   (* Transposed (wire -> reading pool slots) CSR, built on first
-     [session] and memoized: slot positions into [pool_wires] /
-     [pool_weights] of every edge that reads a given wire.  Pure
+     [session] and memoized: the edges that read a given wire.  Pure
      derived data — ignored by [structural_equal] and not persisted. *)
   mutable fanout : fanout option;
 }
@@ -107,6 +136,7 @@ let of_circuit (c : Circuit.t) =
   let gates = c.Circuit.gates in
   let ng = Array.length gates in
   let num_wires = num_inputs + ng in
+  check_wire_count "of_circuit" num_wires;
   let depths = c.Circuit.depths in
   let levels = Array.fold_left max 0 depths in
   (* Stable counting sort of gate ids by level (level l = depth l+1). *)
@@ -128,7 +158,6 @@ let of_circuit (c : Circuit.t) =
     cursor.(l) <- cursor.(l) + 1
   done;
   let pool_wires = Intvec.create ~capacity:1024 () in
-  let pool_weights = Intvec.create ~capacity:1024 () in
   let seg_off = Intvec.create () in
   let seg_fan = Intvec.create () in
   let seg_gates = Intvec.create () in
@@ -188,8 +217,7 @@ let of_circuit (c : Circuit.t) =
       done;
       for j = 0 to fan - 1 do
         let i = perm.(j) in
-        Intvec.push pool_wires ins.(i);
-        Intvec.push pool_weights wts.(i)
+        Intvec.push pool_wires ins.(i)
       done;
       for g = 0 to gcount - 1 do
         Intvec.push grp_off (base + starts.(g));
@@ -233,8 +261,7 @@ let of_circuit (c : Circuit.t) =
     num_wires;
     num_gates = ng;
     levels;
-    pool_wires = ba_of_array (Intvec.to_array pool_wires);
-    pool_weights = ba_of_array (Intvec.to_array pool_weights);
+    pool_wires = ba32_of_array (Intvec.to_array pool_wires);
     seg_off = Intvec.to_array seg_off;
     seg_fan = Intvec.to_array seg_fan;
     seg_gates = Intvec.to_array seg_gates;
@@ -243,7 +270,7 @@ let of_circuit (c : Circuit.t) =
     grp_weight = Intvec.to_array grp_weight;
     level_segs;
     g_threshold = ba_of_array g_threshold;
-    g_wire = ba_of_array g_wire;
+    g_wire = ba32_of_array g_wire;
     outputs = c.Circuit.outputs;
     max_seg_gates = !max_seg_gates;
     kern = [||];
@@ -472,6 +499,7 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
   let num_inputs = a.Builder.a_num_inputs in
   let ng = a.Builder.a_num_gates in
   let num_wires = a.Builder.a_num_wires in
+  check_wire_count "of_arena" num_wires;
   let depths = a.Builder.a_depths in
   let levels = a.Builder.a_levels in
   let items = a.Builder.a_items in
@@ -520,8 +548,7 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
   let ngroups = lvl_grp0.(levels) in
   let nedges = lvl_edge0.(levels) in
   assert (lvl_gate0.(levels) = ng);
-  let pool_wires = ba_create nedges in
-  let pool_weights = ba_create nedges in
+  let pool_wires = ba32_create nedges in
   let seg_off = Array.make (max nsegs 1) 0 in
   let seg_fan = Array.make (max nsegs 1) 0 in
   let seg_gates = Array.make (nsegs + 1) 0 in
@@ -529,7 +556,7 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
   let grp_off = Array.make (ngroups + 1) 0 in
   let grp_weight = Array.make (max ngroups 1) 0 in
   let g_threshold = ba_create ng in
-  let g_wire = ba_create ng in
+  let g_wire = ba32_create ng in
   let kern = if kernels then Array.make (max nsegs 1) Kernel.Generic else [||] in
   let k_gates = ref 0 and k_segs = ref 0 in
   let src_ps = Array.make (max nsegs 1) dummy_pseg in
@@ -590,12 +617,10 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
     let w0 = src_w0.(s) and slots = src_slots.(s) in
     let e = seg_off.(s) in
     let refs = ps.Template.q_refs in
-    let weights = ps.Template.q_weights in
     for i = 0 to ps.Template.q_fan - 1 do
       let r = Array.unsafe_get refs i in
-      bset pool_wires (e + i)
-        (if r >= 0 then w0 + r else Array.unsafe_get slots (-r - 1));
-      bset pool_weights (e + i) (Array.unsafe_get weights i)
+      wset pool_wires (e + i)
+        (if r >= 0 then w0 + r else Array.unsafe_get slots (-r - 1))
     done;
     (* Kernel-grade CSR: sort each sizable weight group's edges by wire
        id.  Within a group every edge carries the same weight, so any
@@ -613,10 +638,10 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
          let a1 = if g + 1 < ngr then e + gs.(g + 1) else e + ps.Template.q_fan in
          let len = a1 - a0 in
          if len >= 16 then begin
-           let tmp = Array.init len (fun i -> bget pool_wires (a0 + i)) in
+           let tmp = Array.init len (fun i -> wget pool_wires (a0 + i)) in
            Array.sort (fun (x : int) y -> compare x y) tmp;
            for i = 0 to len - 1 do
-             bset pool_wires (a0 + i) tmp.(i)
+             wset pool_wires (a0 + i) tmp.(i)
            done
          end
        done);
@@ -624,7 +649,7 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
     let th = ps.Template.q_th and thg = ps.Template.q_th_gate in
     for i = 0 to ps.Template.q_count - 1 do
       bset g_threshold (p + i) (Array.unsafe_get th i);
-      bset g_wire (p + i) (w0 + Array.unsafe_get thg i)
+      wset g_wire (p + i) (w0 + Array.unsafe_get thg i)
     done
   in
   let run_fill pl =
@@ -653,7 +678,6 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
     num_gates = ng;
     levels;
     pool_wires;
-    pool_weights;
     seg_off;
     seg_fan;
     seg_gates;
@@ -675,33 +699,34 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
 (* Single-vector evaluation                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Weighted sum of segment [s] under [values], one byte per wire.  The
-   scalar evaluators only ever write 0 or 1 there, so unchecked, each
-   weight group costs a branch-free sum of its wires' bytes and one
-   multiply by the group weight — no per-edge weight load and no
-   data-dependent branch; native-int arithmetic is modular, so this
-   equals the per-edge sum bit for bit even when it wraps.  Checked, it
-   is the per-edge [Checked.add] in pool order, so overflow traps where
-   every other checked evaluator traps. *)
+(* Weighted sum of segment [s] under [values], one byte per wire, one
+   weight group at a time.  The scalar evaluators only ever write 0 or
+   1 there, so unchecked, a group costs a branch-free sum of its wires'
+   bytes and one multiply by the group weight — no data-dependent
+   branch; native-int arithmetic is modular, so this equals the
+   per-edge sum bit for bit even when it wraps.  Checked, it is the
+   per-edge [Checked.add] of the group weight in pool order (groups
+   tile the segment's edges in order), so overflow traps where every
+   other checked evaluator traps. *)
 let seg_sum ~check t values s =
   let pw = t.pool_wires in
   let sum = ref 0 in
-  if check then begin
-    let pwt = t.pool_weights in
-    let off = Array.unsafe_get t.seg_off s in
-    for i = off to off + Array.unsafe_get t.seg_fan s - 1 do
-      if Bytes.unsafe_get values (bget pw i) <> '\000' then
-        sum := Checked.add !sum (bget pwt i)
-    done
-  end
-  else
-    for g = Array.unsafe_get t.seg_grp s to Array.unsafe_get t.seg_grp (s + 1) - 1 do
+  for g = Array.unsafe_get t.seg_grp s to Array.unsafe_get t.seg_grp (s + 1) - 1 do
+    let wt = Array.unsafe_get t.grp_weight g in
+    let e0 = Array.unsafe_get t.grp_off g and e1 = Array.unsafe_get t.grp_off (g + 1) in
+    if check then
+      for i = e0 to e1 - 1 do
+        if Bytes.unsafe_get values (wget pw i) <> '\000' then
+          sum := Checked.add !sum wt
+      done
+    else begin
       let cnt = ref 0 in
-      for i = Array.unsafe_get t.grp_off g to Array.unsafe_get t.grp_off (g + 1) - 1 do
-        cnt := !cnt + Char.code (Bytes.unsafe_get values (bget pw i))
+      for i = e0 to e1 - 1 do
+        cnt := !cnt + Char.code (Bytes.unsafe_get values (wget pw i))
       done;
-      sum := !sum + (!cnt * Array.unsafe_get t.grp_weight g)
-    done;
+      sum := !sum + (!cnt * wt)
+    end
+  done;
   !sum
 
 (* Firing-prefix length within gate range [glo, ghi) under weighted sum
@@ -716,7 +741,7 @@ let seg_cut t ~glo ~ghi sum =
 
 let fire_prefix t values ~glo cut =
   for g = glo to glo + cut - 1 do
-    Bytes.unsafe_set values (bget t.g_wire g) '\001'
+    Bytes.unsafe_set values (wget t.g_wire g) '\001'
   done
 
 (* Evaluate segments [lo, hi) against [values]; returns the number of
@@ -815,36 +840,31 @@ let fanout_index t =
       let off = ba_create (nw + 1) in
       Bigarray.Array1.fill off 0;
       for e = 0 to nedges - 1 do
-        let w = bget t.pool_wires e in
+        let w = wget t.pool_wires e in
         bset off (w + 1) (bget off (w + 1) + 1)
       done;
       for w = 1 to nw do
         bset off w (bget off w + bget off (w - 1))
       done;
-      (* Owning segment of each pool slot, linear in pool order: the
-         last segment whose edge range starts at or before the slot
-         (empty segments share their successor's offset and sit before
-         it, so advancing while the next offset fits picks the real
-         owner). *)
-      let nsegs = Array.length t.seg_off in
-      let slot_seg = ba_create nedges in
-      let s = ref 0 in
-      for e = 0 to nedges - 1 do
-        while !s + 1 < nsegs && Array.unsafe_get t.seg_off (!s + 1) <= e do
-          incr s
-        done;
-        bset slot_seg e !s
-      done;
+      (* Segments own consecutive group ranges and groups consecutive
+         edge ranges, so walking segments, then their groups, then the
+         groups' edges visits the pool in order with each edge's owner
+         and weight in hand. *)
       let seg = ba_create nedges in
       let wgt = ba_create nedges in
       let cur = ba_create (nw + 1) in
       Bigarray.Array1.blit off cur;
-      for e = 0 to nedges - 1 do
-        let w = bget t.pool_wires e in
-        let c = bget cur w in
-        bset seg c (bget slot_seg e);
-        bset wgt c (bget t.pool_weights e);
-        bset cur w (c + 1)
+      for s = 0 to Array.length t.seg_off - 1 do
+        for g = t.seg_grp.(s) to t.seg_grp.(s + 1) - 1 do
+          let wt = t.grp_weight.(g) in
+          for e = t.grp_off.(g) to t.grp_off.(g + 1) - 1 do
+            let w = wget t.pool_wires e in
+            let c = bget cur w in
+            bset seg c s;
+            bset wgt c wt;
+            bset cur w (c + 1)
+          done
+        done
       done;
       let f = { fan_off = off; fan_seg = seg; fan_weight = wgt } in
       t.fanout <- Some f;
@@ -1062,11 +1082,11 @@ let update ss delta =
           ss.ss_lf.(l) <- ss.ss_lf.(l) + cut - old;
           if cut > old then
             for g = glo + old to glo + cut - 1 do
-              touch_wire ss f (bget t.g_wire g) true
+              touch_wire ss f (wget t.g_wire g) true
             done
           else
             for g = glo + cut to glo + old - 1 do
-              touch_wire ss f (bget t.g_wire g) false
+              touch_wire ss f (wget t.g_wire g) false
             done
         end
       done;
@@ -1186,6 +1206,28 @@ let make_scratch t ~wordc =
     sc_ms = Array.make (wordc * csa_bits) 0;
   }
 
+(* The carry-save ladder's two steps.  Closed top-level functions, so
+   inlining them allocates nothing: a local closure over the ladder's
+   variables would be allocated at every use (one per 16 edges).
+
+   [csa_insert] ripples [x] into counter levels [l0, w) of the word at
+   [cb]; [ladder_in] is input [k] of the 16-edge chunk starting at edge
+   [i0] — read straight through the wire id when [direct], else from
+   the gathered copy at row offset [b]. *)
+let[@inline always] csa_insert cnt ~cb ~w x l0 =
+  if x <> 0 then begin
+    let carry = ref x in
+    for j = l0 to w - 1 do
+      let c = Array.unsafe_get cnt (cb + j) in
+      Array.unsafe_set cnt (cb + j) (c lxor !carry);
+      carry := c land !carry
+    done
+  end
+
+let[@inline always] ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b k =
+  if direct then Array.unsafe_get vals (wget pw (i0 + k)) lxor nmask
+  else Array.unsafe_get gv (b + (k * wordc))
+
 (* Evaluate segments [lo, hi) for every lane word in one metadata
    traversal, adding per-lane firing counts into [fires] (length
    [lanes], indexed by global lane = word * 62 + bit).  Dead lanes of
@@ -1193,7 +1235,7 @@ let make_scratch t ~wordc =
    lanes, and every gate write below is masked to the word's active
    lanes — so set-bit iteration never visits them. *)
 let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
-  let pw = t.pool_wires and pwt = t.pool_weights in
+  let pw = t.pool_wires in
   let th = t.g_threshold and gw = t.g_wire in
   let ctz = ctz_table and ls = lane_slot in
   let accs = sc.sc_accs and cnt = sc.sc_cnt and maxjs = sc.sc_maxj in
@@ -1225,7 +1267,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
     let nmask = if neg then -1 else 0 in
     (if wordc > 1 then
        for i = 0 to len - 1 do
-         let wb = bget pw (e0 + i) * wordc in
+         let wb = wget pw (e0 + i) * wordc in
          for wd = 0 to wordc - 1 do
            Array.unsafe_set gv ((i * wordc) + wd)
              (Array.unsafe_get vals (wb + wd) lxor nmask)
@@ -1242,17 +1284,6 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
        top level and the counts are exact. *)
     for wd = 0 to wordc - 1 do
       let cb = wd * csa_bits in
-      (* Ripple [x] into counter levels [l0, w). *)
-      let[@inline always] insert x l0 =
-        if x <> 0 then begin
-          let carry = ref x in
-          for j = l0 to w - 1 do
-            let c = Array.unsafe_get cnt (cb + j) in
-            Array.unsafe_set cnt (cb + j) (c lxor !carry);
-            carry := c land !carry
-          done
-        end
-      in
       let direct = wordc = 1 in
       let i = ref 0 in
       if len >= 16 then begin
@@ -1263,27 +1294,26 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
         while !i + 16 <= len do
           let b = (!i * wordc) + wd in
           let i0 = e0 + !i in
-          let[@inline always] g k =
-            if direct then
-              Array.unsafe_get vals (bget pw (i0 + k)) lxor nmask
-            else Array.unsafe_get gv (b + (k * wordc))
-          in
-          let x0 = g 0 and x1 = g 1 in
+          let x0 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 0 in
+          let x1 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 1 in
           let u = !ones lxor x0 in
           let t2a = (!ones land x0) lor (u land x1) in
           ones := u lxor x1;
-          let x2 = g 2 and x3 = g 3 in
+          let x2 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 2 in
+          let x3 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 3 in
           let u = !ones lxor x2 in
           let t2b = (!ones land x2) lor (u land x3) in
           ones := u lxor x3;
           let u = !twos lxor t2a in
           let f4a = (!twos land t2a) lor (u land t2b) in
           twos := u lxor t2b;
-          let x4 = g 4 and x5 = g 5 in
+          let x4 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 4 in
+          let x5 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 5 in
           let u = !ones lxor x4 in
           let t2a = (!ones land x4) lor (u land x5) in
           ones := u lxor x5;
-          let x6 = g 6 and x7 = g 7 in
+          let x6 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 6 in
+          let x7 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 7 in
           let u = !ones lxor x6 in
           let t2b = (!ones land x6) lor (u land x7) in
           ones := u lxor x7;
@@ -1293,22 +1323,26 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
           let u = !fours lxor f4a in
           let e8a = (!fours land f4a) lor (u land f4b) in
           fours := u lxor f4b;
-          let x8 = g 8 and x9 = g 9 in
+          let x8 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 8 in
+          let x9 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 9 in
           let u = !ones lxor x8 in
           let t2a = (!ones land x8) lor (u land x9) in
           ones := u lxor x9;
-          let x10 = g 10 and x11 = g 11 in
+          let x10 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 10 in
+          let x11 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 11 in
           let u = !ones lxor x10 in
           let t2b = (!ones land x10) lor (u land x11) in
           ones := u lxor x11;
           let u = !twos lxor t2a in
           let f4a = (!twos land t2a) lor (u land t2b) in
           twos := u lxor t2b;
-          let x12 = g 12 and x13 = g 13 in
+          let x12 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 12 in
+          let x13 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 13 in
           let u = !ones lxor x12 in
           let t2a = (!ones land x12) lor (u land x13) in
           ones := u lxor x13;
-          let x14 = g 14 and x15 = g 15 in
+          let x14 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 14 in
+          let x15 = ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b 15 in
           let u = !ones lxor x14 in
           let t2b = (!ones land x14) lor (u land x15) in
           ones := u lxor x15;
@@ -1321,19 +1355,18 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
           let u = !eights lxor e8a in
           let s16 = (!eights land e8a) lor (u land e8b) in
           eights := u lxor e8b;
-          insert s16 4;
+          csa_insert cnt ~cb ~w s16 4;
           i := !i + 16
         done;
-        insert !ones 0;
-        insert !twos 1;
-        insert !fours 2;
-        insert !eights 3
+        csa_insert cnt ~cb ~w !ones 0;
+        csa_insert cnt ~cb ~w !twos 1;
+        csa_insert cnt ~cb ~w !fours 2;
+        csa_insert cnt ~cb ~w !eights 3
       end;
       while !i < len do
-        insert
-          (if direct then
-             Array.unsafe_get vals (bget pw (e0 + !i)) lxor nmask
-           else Array.unsafe_get gv ((!i * wordc) + wd))
+        csa_insert cnt ~cb ~w
+          (ladder_in ~direct ~nmask ~wordc vals pw gv ~i0:(e0 + !i)
+             ~b:((!i * wordc) + wd) 0)
           0;
         incr i
       done
@@ -1351,7 +1384,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
         let off = Array.unsafe_get t.seg_off s in
         let ew = sc.sc_ew and ewi = sc.sc_ewi and mt = sc.sc_mt in
         for i = 0 to k_fan - 1 do
-          Array.unsafe_set ewi i (bget pw (off + i) * wordc)
+          Array.unsafe_set ewi i (wget pw (off + i) * wordc)
         done;
         for wd = 0 to wordc - 1 do
           let base = wd * word_lanes in
@@ -1375,7 +1408,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
           for j = k - 1 downto 0 do
             let out = Array.unsafe_get gate_out j in
             if out <> 0 then begin
-              Array.unsafe_set vals (bget gw (glo + j) * wordc + wd) out;
+              Array.unsafe_set vals (wget gw (glo + j) * wordc + wd) out;
               let m = ref (out land lnot !prev) in
               while !m <> 0 do
                 let b = !m land (- !m) in
@@ -1420,7 +1453,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
             in
             if out = 0 then go := false
             else begin
-              Array.unsafe_set vals (bget gw (glo + !j) * wordc + wd) out;
+              Array.unsafe_set vals (wget gw (glo + !j) * wordc + wd) out;
               let m = ref (!prev land lnot out) in
               while !m <> 0 do
                 let b = !m land (- !m) in
@@ -1514,7 +1547,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
           in
           if live <> 0 then
             if k = 1 then begin
-              Array.unsafe_set vals (bget gw glo * wordc + wd) live;
+              Array.unsafe_set vals (wget gw glo * wordc + wd) live;
               let m = ref live in
               while !m <> 0 do
                 let b = !m land (- !m) in
@@ -1534,7 +1567,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
                  planes.  Lanes leaving the prefix at gate [j] fired
                  exactly [j] gates; survivors are charged the final
                  prefix length (same accounting as the Pop branch). *)
-              Array.unsafe_set vals (bget gw glo * wordc + wd) live;
+              Array.unsafe_set vals (wget gw glo * wordc + wd) live;
               let j = ref 1 in
               let prev = ref live in
               let go = ref true in
@@ -1545,7 +1578,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
                 in
                 if out = 0 then go := false
                 else begin
-                  Array.unsafe_set vals (bget gw (glo + !j) * wordc + wd) out;
+                  Array.unsafe_set vals (wget gw (glo + !j) * wordc + wd) out;
                   let m = ref (!prev land lnot out) in
                   while !m <> 0 do
                     let b = !m land (- !m) in
@@ -1580,23 +1613,23 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
         (if check then begin
            (* Checked mode stays on the straightforward per-edge loop so
               the running per-lane sums follow pool order exactly. *)
-           let off = Array.unsafe_get t.seg_off s in
-           let fan = Array.unsafe_get t.seg_fan s in
-           for i = off to off + fan - 1 do
-             let wb = bget pw i * wordc in
-             let wt = bget pwt i in
-             for wd = 0 to wordc - 1 do
-               let m = ref (Array.unsafe_get vals (wb + wd)) in
-               if !m <> 0 then begin
-                 let ab = wd * ctz_slots in
-                 while !m <> 0 do
-                   let b = !m land (- !m) in
-                   let sl = ab + ((b * ctz_mul) lsr 56) in
-                   Array.unsafe_set accs sl
-                     (Checked.add (Array.unsafe_get accs sl) wt);
-                   m := !m lxor b
-                 done
-               end
+           for g = Array.unsafe_get t.seg_grp s to Array.unsafe_get t.seg_grp (s + 1) - 1 do
+             let wt = Array.unsafe_get t.grp_weight g in
+             for i = Array.unsafe_get t.grp_off g to Array.unsafe_get t.grp_off (g + 1) - 1 do
+               let wb = wget pw i * wordc in
+               for wd = 0 to wordc - 1 do
+                 let m = ref (Array.unsafe_get vals (wb + wd)) in
+                 if !m <> 0 then begin
+                   let ab = wd * ctz_slots in
+                   while !m <> 0 do
+                     let b = !m land (- !m) in
+                     let sl = ab + ((b * ctz_mul) lsr 56) in
+                     Array.unsafe_set accs sl
+                       (Checked.add (Array.unsafe_get accs sl) wt);
+                     m := !m lxor b
+                   done
+                 end
+               done
              done
            done
          end
@@ -1620,7 +1653,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
              if e1 - e0 >= csa_cutoff then begin
                Array.fill maxjs 0 wordc 0;
                for i = e0 to e1 - 1 do
-                 let wb = bget pw i * wordc in
+                 let wb = wget pw i * wordc in
                  for wd = 0 to wordc - 1 do
                    let x = ref (Array.unsafe_get vals (wb + wd)) in
                    if !x <> 0 then begin
@@ -1654,7 +1687,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
              end
              else begin
                for i = e0 to e1 - 1 do
-                 let wb = bget pw i * wordc in
+                 let wb = wget pw i * wordc in
                  for wd = 0 to wordc - 1 do
                    let m = ref (Array.unsafe_get vals (wb + wd)) in
                    if !m <> 0 then begin
@@ -1684,7 +1717,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
             done;
             let out = !out in
             if out <> 0 then begin
-              Array.unsafe_set vals (bget gw glo * wordc + wd) out;
+              Array.unsafe_set vals (wget gw glo * wordc + wd) out;
               let m = ref out in
               while !m <> 0 do
                 let b = !m land (- !m) in
@@ -1741,7 +1774,7 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
               for j = !maxcut - 1 downto 0 do
                 acc := !acc lor Array.unsafe_get bucket (j + 1);
                 Array.unsafe_set bucket (j + 1) 0;
-                Array.unsafe_set vals (bget gw (glo + j) * wordc + wd) !acc
+                Array.unsafe_set vals (wget gw (glo + j) * wordc + wd) !acc
               done
             end
           end
@@ -1929,17 +1962,16 @@ let batch_value r ~lane w =
 
 (* The store subsystem persists a packed circuit as flat sections and
    hands them back on load.  This module stays I/O-free: [save] is a
-   field projection (plus the kernel-spec encoding) and [load] is
+   field projection (plus the kernel table) and [load] is
    re-validation — the store layer owns files, mmap, and checksums. *)
 
 type sections = {
   sec_num_inputs : int;
   sec_num_gates : int;
   sec_levels : int;
-  sec_pool_wires : ivec;
-  sec_pool_weights : ivec;
+  sec_pool_wires : i32vec;
   sec_g_threshold : ivec;
-  sec_g_wire : ivec;
+  sec_g_wire : i32vec;
   sec_seg_off : int array;
   sec_seg_fan : int array;
   sec_seg_gates : int array;
@@ -1948,16 +1980,38 @@ type sections = {
   sec_grp_weight : int array;
   sec_level_segs : int array;
   sec_outputs : int array;
-  sec_kern : int array;
+  sec_kern_table : int array;
+  sec_kern_index : int array;
 }
 
+(* The distinct kernel specs in first-use order, encoded, plus each
+   segment's position among them.  Segments stamped from one template
+   share a spec, so the table stays tiny: 144 distinct specs cover the
+   128,229 segments of matmul N=16. *)
+let kern_table kern =
+  let pos = Hashtbl.create 64 in
+  let distinct = ref [] in
+  let index =
+    Array.map
+      (fun spec ->
+        match Hashtbl.find_opt pos spec with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length pos in
+            Hashtbl.add pos spec i;
+            distinct := spec :: !distinct;
+            i)
+      kern
+  in
+  (Kernel.encode_specs (Array.of_list (List.rev !distinct)), index)
+
 let save t =
+  let kern_table, kern_index = kern_table t.kern in
   {
     sec_num_inputs = t.num_inputs;
     sec_num_gates = t.num_gates;
     sec_levels = t.levels;
     sec_pool_wires = t.pool_wires;
-    sec_pool_weights = t.pool_weights;
     sec_g_threshold = t.g_threshold;
     sec_g_wire = t.g_wire;
     sec_seg_off = t.seg_off;
@@ -1968,18 +2022,25 @@ let save t =
     sec_grp_weight = t.grp_weight;
     sec_level_segs = t.level_segs;
     sec_outputs = t.outputs;
-    sec_kern = Kernel.encode_specs t.kern;
+    sec_kern_table = kern_table;
+    sec_kern_index = kern_index;
   }
 
-(* Recompile one segment's kernel from the CSR pools — the fallback
-   when an artifact predates the current {!Kernel.format_rev}. *)
-let recompile_kern s pool_weights g_threshold ~seg_off ~seg_fan ~seg_gates =
-  let fan = seg_fan.(s) and e = seg_off.(s) in
-  let p = seg_gates.(s) in
-  let count = seg_gates.(s + 1) - p in
-  let weights = Array.init fan (fun i -> bget pool_weights (e + i)) in
-  let thresholds = Array.init count (fun i -> bget g_threshold (p + i)) in
-  Kernel.compile ~fan ~weights ~thresholds
+(* Recompile segment [seg]'s kernel from the CSR pools — the fallback
+   when an artifact predates the current {!Kernel.format_rev}.  Edge
+   weights come from the groups, which tile the segment's edges in pool
+   order. *)
+let recompile_kern s seg =
+  let e = s.sec_seg_off.(seg) in
+  let p = s.sec_seg_gates.(seg) in
+  let count = s.sec_seg_gates.(seg + 1) - p in
+  let weights = Array.make s.sec_seg_fan.(seg) 0 in
+  for g = s.sec_seg_grp.(seg) to s.sec_seg_grp.(seg + 1) - 1 do
+    let e0 = s.sec_grp_off.(g) in
+    Array.fill weights (e0 - e) (s.sec_grp_off.(g + 1) - e0) s.sec_grp_weight.(g)
+  done;
+  let thresholds = Array.init count (fun i -> bget s.sec_g_threshold (p + i)) in
+  Kernel.compile ~fan:s.sec_seg_fan.(seg) ~weights ~thresholds
 
 exception Invalid of string
 
@@ -2000,6 +2061,8 @@ let load ?(kernels = true) ?(recompile = false) s =
     let levels = s.sec_levels in
     if num_inputs < 0 || ng < 0 || levels < 0 then fail "negative counts";
     if ng > 0 && levels = 0 then fail "gates without levels";
+    if num_inputs > max_wires - ng then
+      fail "%d inputs and %d gates do not fit 32-bit wire ids" num_inputs ng;
     let num_wires = num_inputs + ng in
     let nsegs = Array.length s.sec_seg_off in
     if Array.length s.sec_seg_fan <> nsegs then fail "seg_fan length mismatch";
@@ -2018,7 +2081,6 @@ let load ?(kernels = true) ?(recompile = false) s =
     check_monotone "grp_off" s.sec_grp_off 0 nedges;
     let dim = Bigarray.Array1.dim in
     if dim s.sec_pool_wires < max nedges 1 then fail "pool_wires too short";
-    if dim s.sec_pool_weights < max nedges 1 then fail "pool_weights too short";
     if dim s.sec_g_threshold < max ng 1 then fail "g_threshold too short";
     if dim s.sec_g_wire < max ng 1 then fail "g_wire too short";
     (* Each segment's edge range must be exactly its group range — the
@@ -2032,20 +2094,13 @@ let load ?(kernels = true) ?(recompile = false) s =
         <> s.sec_grp_off.(s.sec_seg_grp.(seg + 1))
       then fail "segment %d fan/group extent mismatch" seg
     done;
-    (* Bounds that make the evaluators' unsafe accesses safe, and every
-       edge carrying its group's weight: unchecked sums multiply group
-       counts by [grp_weight], checked ones add [pool_weights]. *)
-    for g = 0 to ngroups - 1 do
-      let wt = s.sec_grp_weight.(g) in
-      for e = s.sec_grp_off.(g) to s.sec_grp_off.(g + 1) - 1 do
-        let w = bget s.sec_pool_wires e in
-        if w < 0 || w >= num_wires then fail "edge %d reads out-of-range wire" e;
-        if bget s.sec_pool_weights e <> wt then
-          fail "edge %d weight differs from its group's" e
-      done
+    (* Bounds that make the evaluators' unsafe accesses safe. *)
+    for e = 0 to nedges - 1 do
+      let w = wget s.sec_pool_wires e in
+      if w < 0 || w >= num_wires then fail "edge %d reads out-of-range wire" e
     done;
     for g = 0 to ng - 1 do
-      let w = bget s.sec_g_wire g in
+      let w = wget s.sec_g_wire g in
       if w < num_inputs || w >= num_wires then
         fail "gate %d writes out-of-range wire" g
     done;
@@ -2068,15 +2123,24 @@ let load ?(kernels = true) ?(recompile = false) s =
     done;
     let kern =
       if not kernels then [||]
-      else if recompile && nsegs > 0 then
-        Array.init nsegs (fun seg ->
-            recompile_kern seg s.sec_pool_weights s.sec_g_threshold
-              ~seg_off:s.sec_seg_off ~seg_fan:s.sec_seg_fan
-              ~seg_gates:s.sec_seg_gates)
-      else if Array.length s.sec_kern > 0 then
-        match Kernel.decode_specs s.sec_kern ~count:nsegs with
-        | Some k -> k
-        | None -> fail "malformed kernel dispatch tags"
+      else if recompile && nsegs > 0 then Array.init nsegs (recompile_kern s)
+      else if Array.length s.sec_kern_index > 0 then begin
+        (* Each distinct spec is decoded once and shared by every
+           segment naming it.  The table holds exactly the specs the
+           index names: [decode_specs] refuses a short or long one (a
+           spec takes at least one word, which bounds every entry). *)
+        let index = s.sec_kern_index in
+        if Array.length index <> nsegs then fail "kern_index length mismatch";
+        Array.iteri
+          (fun seg i ->
+            if i < 0 || i >= Array.length s.sec_kern_table then
+              fail "segment %d names kern table entry %d, past the table" seg i)
+          index;
+        let count = Array.fold_left max (-1) index + 1 in
+        match Kernel.decode_specs s.sec_kern_table ~count with
+        | Some table -> Array.map (Array.get table) index
+        | None -> fail "kern table does not hold the %d specs its index names" count
+      end
       else
         (* An empty section means the circuit was packed without kernel
            dispatch (of_circuit, or kernels off) — reproduce that
@@ -2104,7 +2168,6 @@ let load ?(kernels = true) ?(recompile = false) s =
       num_gates = ng;
       levels;
       pool_wires = s.sec_pool_wires;
-      pool_weights = s.sec_pool_weights;
       seg_off = s.sec_seg_off;
       seg_fan = s.sec_seg_fan;
       seg_gates = s.sec_seg_gates;
@@ -2126,10 +2189,20 @@ let load ?(kernels = true) ?(recompile = false) s =
   | exception Invalid m -> Error m
 
 let structural_equal a b =
+  (* Element by element through the accessors, which read an int's
+     63-bit value: Bigarray equality would also compare the stored bit
+     63 that no evaluator sees. *)
   let ivec_eq va vb n =
     let ok = ref true in
     for i = 0 to n - 1 do
       if bget va i <> bget vb i then ok := false
+    done;
+    !ok
+  in
+  let i32vec_eq va vb n =
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      if wget va i <> wget vb i then ok := false
     done;
     !ok
   in
@@ -2144,7 +2217,6 @@ let structural_equal a b =
   && a.grp_off = b.grp_off && a.grp_weight = b.grp_weight
   && a.level_segs = b.level_segs && a.outputs = b.outputs
   && a.kern = b.kern
-  && ivec_eq a.pool_wires b.pool_wires edges_a
-  && ivec_eq a.pool_weights b.pool_weights edges_a
+  && i32vec_eq a.pool_wires b.pool_wires edges_a
   && ivec_eq a.g_threshold b.g_threshold a.num_gates
-  && ivec_eq a.g_wire b.g_wire a.num_gates
+  && i32vec_eq a.g_wire b.g_wire a.num_gates

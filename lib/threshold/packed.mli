@@ -30,7 +30,8 @@ type t
 val of_circuit : Circuit.t -> t
 (** Compile.  Costs one pass over the gates plus one over the (deduped)
     edges; memory is proportional to the {i unique} edge storage, not
-    the logical edge count. *)
+    the logical edge count.  Wire ids are stored in 32 bits: raises
+    [Invalid_argument] on a circuit with more than [2^31] wires. *)
 
 val circuit : t -> Circuit.t
 (** The per-gate view.  For {!of_circuit}-compiled values this is the
@@ -80,7 +81,8 @@ val of_arena :
     count, not the logical one.  The result is identical to
     [of_circuit] applied to the materialized circuit.  With [?pool] (or
     [?domains] > 1) the edge-pool fill fans out across the domain
-    pool.
+    pool.  Raises [Invalid_argument], like {!of_circuit}, past [2^31]
+    wires.
 
     [kernels] (default [true]) dispatches each template segment to its
     specialized batch evaluator ({!Kernel.compile}); [~kernels:false]
@@ -259,15 +261,17 @@ val batch_value : batch_result -> lane:int -> Wire.t -> bool
     evaluate. *)
 
 type ivec = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type i32vec = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type sections = {
   sec_num_inputs : int;
   sec_num_gates : int;
   sec_levels : int;
-  sec_pool_wires : ivec;  (** edge input wires, grouped by weight *)
-  sec_pool_weights : ivec;  (** edge weights, same order *)
+  sec_pool_wires : i32vec;
+      (** edge input wires, grouped by weight; an edge's weight is its
+          group's [sec_grp_weight] *)
   sec_g_threshold : ivec;  (** per packed gate, ascending per segment *)
-  sec_g_wire : ivec;  (** per packed gate: output wire *)
+  sec_g_wire : i32vec;  (** per packed gate: output wire *)
   sec_seg_off : int array;  (** per segment: first pool slot *)
   sec_seg_fan : int array;  (** per segment: fan-in *)
   sec_seg_gates : int array;  (** packed-gate ranges, [nsegs + 1] *)
@@ -276,29 +280,35 @@ type sections = {
   sec_grp_weight : int array;  (** per group: the shared weight *)
   sec_level_segs : int array;  (** segment ranges per level, [levels + 1] *)
   sec_outputs : int array;
-  sec_kern : int array;
-      (** {!Kernel.encode_specs} of the per-segment dispatch decisions;
-          [[||]] asks {!load} to recompile them from the pools (the
-          kernel-format-rev-mismatch path) *)
+  sec_kern_table : int array;
+      (** {!Kernel.encode_specs} of the distinct per-segment dispatch
+          decisions, in first-use order *)
+  sec_kern_index : int array;
+      (** per segment: the position of its spec in [sec_kern_table];
+          [[||]] when the circuit has no kernel dispatch *)
 }
 
 val save : t -> sections
-(** O(num_segments) — kernel specs are re-encoded, everything else is
-    shared with [t]. *)
+(** O(num_segments) — the kernel table is built by deduplicating the
+    segments' specs, everything else is shared with [t]. *)
 
 val load : ?kernels:bool -> ?recompile:bool -> sections -> (t, string) result
 (** Validate and adopt sections (the vectors are shared, so they must
     not be mutated afterwards).  [kernels:false] forces all-generic
-    dispatch regardless of [sec_kern].  [recompile] (default [false])
-    ignores [sec_kern] and rebuilds every segment's kernel from the
+    dispatch regardless of the kernel sections.  [recompile] (default
+    [false]) ignores them and rebuilds every segment's kernel from the
     CSR pools — the artifact store's path when the persisted dispatch
-    tags predate the current {!Kernel.format_rev}.  An {e empty}
-    [sec_kern] with [recompile:false] is reproduced faithfully as
-    all-generic dispatch (the original was packed without kernels).  [Error] describes the first
-    violated invariant; on [Ok t], every evaluator entry point is
-    memory-safe even if the sections were corrupt in ways a checksum
-    would miss.  {!circuit} raises on a loaded [t] — the explicit gate
-    list is not persisted. *)
+    tags predate the current {!Kernel.format_rev}.  Otherwise each
+    distinct spec of [sec_kern_table] is decoded once and shared by the
+    segments whose [sec_kern_index] names it; an {e empty} index is
+    reproduced faithfully as all-generic dispatch (the original was
+    packed without kernels).  [Error] describes the first violated
+    invariant — among them a wire count past [2^31], a wire id out of
+    range, an index entry the table does not hold, or a table that does
+    not decode; on [Ok t], every evaluator entry point is memory-safe
+    even if the sections were corrupt in ways a checksum would miss.
+    {!circuit} raises on a loaded [t] — the explicit gate list is not
+    persisted. *)
 
 val structural_equal : t -> t -> bool
 (** Field-for-field equality of the packed representation (pools,

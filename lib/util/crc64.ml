@@ -156,6 +156,58 @@ let feed_ivec t (v : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.
   done;
   { hi = !hi; lo = !lo }
 
+let feed_i32vec t
+    (v : (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t)
+    ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim v then
+    invalid_arg "Crc64.feed_i32vec: range out of bounds";
+  (* Two elements are the eight little-endian bytes of one
+     slicing-by-8 round, unrolled by hand as in [feed_ivec]. *)
+  let hi = ref t.hi and lo = ref t.lo in
+  let i = ref pos in
+  while !i + 1 < pos + len do
+    let x_lo =
+      !lo lxor (Int32.to_int (Bigarray.Array1.unsafe_get v !i) land mask32)
+    and x_hi =
+      !hi lxor (Int32.to_int (Bigarray.Array1.unsafe_get v (!i + 1)) land mask32)
+    in
+    let i7 = x_lo land 0xff
+    and i6 = (x_lo lsr 8) land 0xff
+    and i5 = (x_lo lsr 16) land 0xff
+    and i4 = (x_lo lsr 24) land 0xff
+    and i3 = x_hi land 0xff
+    and i2 = (x_hi lsr 8) land 0xff
+    and i1 = (x_hi lsr 16) land 0xff
+    and i0 = (x_hi lsr 24) land 0xff in
+    hi :=
+      Array.unsafe_get t_hi (0x700 + i7)
+      lxor Array.unsafe_get t_hi (0x600 + i6)
+      lxor Array.unsafe_get t_hi (0x500 + i5)
+      lxor Array.unsafe_get t_hi (0x400 + i4)
+      lxor Array.unsafe_get t_hi (0x300 + i3)
+      lxor Array.unsafe_get t_hi (0x200 + i2)
+      lxor Array.unsafe_get t_hi (0x100 + i1)
+      lxor Array.unsafe_get t_hi i0;
+    lo :=
+      Array.unsafe_get t_lo (0x700 + i7)
+      lxor Array.unsafe_get t_lo (0x600 + i6)
+      lxor Array.unsafe_get t_lo (0x500 + i5)
+      lxor Array.unsafe_get t_lo (0x400 + i4)
+      lxor Array.unsafe_get t_lo (0x300 + i3)
+      lxor Array.unsafe_get t_lo (0x200 + i2)
+      lxor Array.unsafe_get t_lo (0x100 + i1)
+      lxor Array.unsafe_get t_lo i0;
+    i := !i + 2
+  done;
+  let t = { hi = !hi; lo = !lo } in
+  if !i < pos + len then begin
+    (* An odd count leaves one element: four bytes, byte by byte. *)
+    let tail = Bytes.create 4 in
+    Bytes.set_int32_le tail 0 (Bigarray.Array1.unsafe_get v !i);
+    feed_bytes t tail ~pos:0 ~len:4
+  end
+  else t
+
 let digest t = (t.hi lxor mask32, t.lo lxor mask32)
 let to_hex (hi, lo) = Printf.sprintf "%08x%08x" (hi land mask32) (lo land mask32)
 let equal (ahi, alo) (bhi, blo) = ahi = bhi && alo = blo

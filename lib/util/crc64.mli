@@ -4,12 +4,14 @@
 
     OCaml's native [int] is 63 bits wide, so a digest is carried as two
     32-bit halves packed in ordinary ints — every operation stays
-    unboxed.  Two feeding granularities are provided: byte streams (for
-    headers, exact CRC-64/XZ over the bytes) and {i word} streams, where
-    each 63-bit int contributes its eight little-endian bytes (bit 63
-    reads as zero).  The word path runs slicing-by-8 — one table round
-    per word instead of per byte — which is what makes whole-payload
-    verification cheap enough to sit on the circuit warm-load path. *)
+    unboxed.  Three feeding granularities are provided: byte streams
+    (for headers, exact CRC-64/XZ over the bytes), {i word} streams,
+    where each 63-bit int contributes its eight little-endian bytes (bit
+    63 reads as zero), and int32 streams, where each element contributes
+    its four little-endian bytes.  The vector paths run slicing-by-8 —
+    one table round per eight bytes instead of per byte — which is what
+    makes whole-payload verification cheap enough to sit on the circuit
+    warm-load path. *)
 
 type t = private { hi : int; lo : int }
 (** A running digest; [hi]/[lo] are the high/low 32 bits. *)
@@ -38,6 +40,17 @@ val feed_ivec :
 (** {!feed_word} over [len] consecutive elements starting at [pos],
     with the table lookups inlined into one tight loop.  Raises
     [Invalid_argument] on an out-of-bounds range. *)
+
+val feed_i32vec :
+  t ->
+  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  pos:int ->
+  len:int ->
+  t
+(** Update with the four little-endian bytes of each of [len]
+    consecutive elements starting at [pos] — equal to {!feed_bytes} over
+    those [4 * len] bytes, all 32 bits of every element included.
+    Raises [Invalid_argument] on an out-of-bounds range. *)
 
 val digest : t -> int * int
 (** Finalize: the [(hi, lo)] 32-bit halves of the checksum. *)

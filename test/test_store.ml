@@ -192,7 +192,7 @@ let test_concurrent_writers () =
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures: one trace circuit (template kernels), one matmul         *)
-(* (materialized, no kernels — the empty [sec_kern] case)             *)
+(* (materialized, no kernels — the empty kernel-index case)          *)
 (* ------------------------------------------------------------------ *)
 
 let trace_fixture =
@@ -278,6 +278,23 @@ let test_crc64_word_vs_bytes =
         (Crc64.digest (Crc64.feed_word Crc64.init w))
         (Crc64.digest (Crc64.feed_bytes Crc64.init b ~pos:0 ~len:8)))
 
+(* What an int32 section's checksum covers: every byte, bit 31 of each
+   element included, from any starting element (even or odd counts
+   leave a tail of one element). *)
+let test_crc64_i32_vs_bytes =
+  S.qcheck_case ~count:500 "feed_i32vec = feed_bytes over the LE bytes"
+    Gen.(pair (array_size (int_bound 9) int32) nat)
+    (fun (a, r) ->
+      let n = Array.length a in
+      let pos = if n = 0 then 0 else r mod (n + 1) in
+      let v = Bigarray.Array1.of_array Bigarray.int32 Bigarray.c_layout a in
+      let b = Bytes.create (4 * n) in
+      Array.iteri (fun i x -> Bytes.set_int32_le b (4 * i) x) a;
+      Crc64.equal
+        (Crc64.digest (Crc64.feed_i32vec Crc64.init v ~pos ~len:(n - pos)))
+        (Crc64.digest
+           (Crc64.feed_bytes Crc64.init b ~pos:(4 * pos) ~len:(4 * (n - pos)))))
+
 (* ------------------------------------------------------------------ *)
 (* Round-trip identity                                                *)
 (* ------------------------------------------------------------------ *)
@@ -334,7 +351,7 @@ let test_matmul_round_trip () =
       (* A materialized, kernels-off circuit has an empty kernel table;
          the artifact must reproduce that faithfully, not invent
          kernels on load. *)
-      S.check_bool "structural identity (empty sec_kern)" true
+      S.check_bool "structural identity (empty kernel index)" true
         (Th.Packed.structural_equal packed loaded);
       let rng = Tcmm_util.Prng.create ~seed:11 in
       let a_m = F.Matrix.random rng ~rows:2 ~cols:2 ~lo:0 ~hi:3 in
@@ -350,6 +367,75 @@ let test_matmul_round_trip () =
         (F.Matrix.equal (dec fresh) want);
       S.check_bool "loaded circuit answers A*B" true
         (F.Matrix.equal (dec warm) want)
+
+(* Wire ids load from int32 sections.  A load that boxed its [Int32] in
+   an inner loop would allocate a few words per pooled edge; each entry
+   point must instead allocate per call only its result, far below one
+   word per hundred pool edges. *)
+let test_no_boxed_loads () =
+  let n = 8 in
+  let profile = F.Sparsity.analyze strassen in
+  let schedule = T.Level_schedule.theorem45 ~profile ~d:2 ~n in
+  let built =
+    T.Matmul_circuit.build ~mode:Th.Builder.Direct ~algo:strassen ~schedule
+      ~entry_bits:1 ~n ()
+  in
+  let meta =
+    {
+      A.m_key = "matmul|strassen|thm45|d=2|n=8|b=1|signed=false|tau=0";
+      m_templates = true;
+      m_kernels = true;
+      m_build_seconds = 0.;
+      m_stats = T.Matmul_circuit.stats built;
+      m_io =
+        A.Matmul_io
+          {
+            layout_a = built.T.Matmul_circuit.layout_a;
+            layout_b = built.T.Matmul_circuit.layout_b;
+            c_grid = built.T.Matmul_circuit.c_grid;
+          };
+    }
+  in
+  with_temp_path @@ fun path ->
+  (match A.write ~path meta (T.Matmul_circuit.pack ~kernels:true built) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "write failed: %s" m);
+  let p =
+    match A.read ~key:meta.A.m_key ~path () with
+    | Ok a -> a.A.a_packed
+    | Error m -> Alcotest.failf "read failed: %s" m
+  in
+  let rng = Tcmm_util.Prng.create ~seed:16 in
+  let input () =
+    T.Matmul_circuit.encode_inputs built
+      ~a:(F.Matrix.random rng ~rows:n ~cols:n ~lo:0 ~hi:1)
+      ~b:(F.Matrix.random rng ~rows:n ~cols:n ~lo:0 ~hi:1)
+  in
+  let one = [| input () |] and batch = Array.init 62 (fun _ -> input ()) in
+  let ws = Th.Packed.workspace () in
+  let session = Th.Packed.session p one.(0) in
+  let width = Array.length one.(0) in
+  let flips =
+    Array.init 64 (fun k -> [| (k * 7 mod width, k mod 2 = 0) |])
+  in
+  let budget = float_of_int (Th.Packed.pool_edges p) /. 100. in
+  let per_call name f =
+    f 0;
+    let reps = 64 in
+    let w0 = Gc.minor_words () in
+    for k = 0 to reps - 1 do
+      f k
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+    if words >= budget then
+      Alcotest.failf "%s: %.0f minor words per call, budget %.0f" name words
+        budget
+  in
+  per_call "one-lane run_batch" (fun _ -> ignore (Th.Packed.run_batch ~ws p one));
+  per_call "62-lane run_batch" (fun _ ->
+      ignore (Th.Packed.run_batch ~ws p batch));
+  per_call "session update" (fun k ->
+      ignore (Th.Packed.update session flips.(k)))
 
 (* ------------------------------------------------------------------ *)
 (* Store tier: save / find, counters, quarantine                      *)
@@ -443,24 +529,30 @@ let test_payload_corruption_quarantined () =
 
 (* Byte layout under test: magic at 0, u64 header length at 8, the
    Codec-encoded header at 16 (tuple tags 't','t','t', then an 'i' tag
-   and [h_format] as a u64 LE at bytes 20..27), and the header CRC-64
-   as one u64 LE at [16 + hlen].  Bump the version payload and re-sign
-   the header so only the version check can object. *)
-let stale_format_bytes () =
+   and [h_format] as a u64 LE at bytes 20..27, then an 'i' tag and
+   [h_kernel_rev] at bytes 29..36), and the header CRC-64 as one u64 LE
+   at [16 + hlen].  Bump one revision's payload and re-sign the header
+   so only that revision's check can object. *)
+let bump_revision ~what ~pos ~current =
   let bytes = Bytes.of_string (Lazy.force trace_bytes) in
   S.check_int "codec tuple tag" (Char.code 't') (Char.code (Bytes.get bytes 16));
-  S.check_int "codec int tag" (Char.code 'i') (Char.code (Bytes.get bytes 19));
-  S.check_int "h_format low byte is the current version"
-    (A.format_version land 0xff)
-    (Char.code (Bytes.get bytes 20));
+  S.check_int "codec int tag" (Char.code 'i')
+    (Char.code (Bytes.get bytes (pos - 1)));
+  S.check_int
+    (Printf.sprintf "%s low byte is the current revision" what)
+    (current land 0xff)
+    (Char.code (Bytes.get bytes pos));
   let hlen = Int64.to_int (Bytes.get_int64_le bytes 8) in
-  Bytes.set bytes 20 (Char.chr ((A.format_version + 1) land 0xff));
+  Bytes.set bytes pos (Char.chr ((current + 1) land 0xff));
   let hi, lo =
     Crc64.digest (Crc64.feed_bytes Crc64.init bytes ~pos:16 ~len:hlen)
   in
   Bytes.set_int64_le bytes (16 + hlen)
     (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo));
   Bytes.to_string bytes
+
+let stale_format_bytes () =
+  bump_revision ~what:"h_format" ~pos:20 ~current:A.format_version
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -478,6 +570,41 @@ let test_stale_format_rejected () =
   match A.read ~path () with
   | Ok _ -> Alcotest.fail "read accepted a stale format version"
   | Error _ -> ()
+
+(* An artifact written under another kernel revision loads by
+   recompiling every segment's kernel from the pools, the edge weights
+   taken from the groups, and must evaluate exactly like the circuit it
+   was written from. *)
+let test_stale_kernel_rev_recompiles () =
+  let built, packed, meta = Lazy.force trace_fixture in
+  with_temp_path @@ fun path ->
+  write_file path
+    (bump_revision ~what:"h_kernel_rev" ~pos:29
+       ~current:Th.Kernel.format_rev);
+  match A.read ~key:meta.A.m_key ~path () with
+  | Error m -> Alcotest.failf "stale kernel revision refused: %s" m
+  | Ok a ->
+      S.check_bool "kernels recompiled" true a.A.a_kern_recompiled;
+      let rng = Tcmm_util.Prng.create ~seed:29 in
+      let inputs =
+        Array.init 62 (fun _ ->
+            T.Trace_circuit.encode_input built
+              (F.Matrix.random rng ~rows:2 ~cols:2 ~lo:0 ~hi:3))
+      in
+      let fresh = Th.Packed.run_batch packed inputs in
+      let warm = Th.Packed.run_batch a.A.a_packed inputs in
+      Array.iteri
+        (fun lane _ ->
+          S.check_bool
+            (Printf.sprintf "lane %d outputs" lane)
+            true
+            (Th.Packed.batch_outputs fresh ~lane
+            = Th.Packed.batch_outputs warm ~lane);
+          S.check_int
+            (Printf.sprintf "lane %d firings" lane)
+            (Th.Packed.batch_firings fresh ~lane)
+            (Th.Packed.batch_firings warm ~lane))
+        inputs
 
 let test_gc () =
   let _, packed, meta = Lazy.force trace_fixture in
@@ -572,12 +699,15 @@ let test_bit_flips =
           Test.fail_reportf "flip at byte %d bit %d raised: %s" pos bit
             (Printexc.to_string e))
 
-(* Flips inside a section's logical words (bit 63 excluded) are inside
-   CRC-covered content and must always be detected. *)
+(* A flip of any content bit of a stored element — bits 0-31 of an
+   int32, bits 0-62 of a word (bit 63 is outside the logical content) —
+   is inside CRC-covered content and must always be detected. *)
 let test_section_flips_detected =
   S.qcheck_case ~count:80 "in-section content flips are always detected"
-    Gen.(triple (int_bound 0x3FFFFFFF) (int_bound 0x3FFFFFFF) (int_bound 62))
-    (fun (rs, rw, bit) ->
+    Gen.(
+      triple (int_bound 0x3FFFFFFF) (int_bound 0x3FFFFFFF)
+        (int_bound 0x3FFFFFFF))
+    (fun (rs, re, rb) ->
       let pristine = Lazy.force trace_bytes in
       with_temp_path @@ fun path ->
       write_file path pristine;
@@ -591,8 +721,9 @@ let test_section_flips_detected =
       in
       if sections = [] then Test.fail_report "fixture has no sections";
       let s = List.nth sections (rs mod List.length sections) in
-      let word = s.A.s_off + (rw mod s.A.s_len) in
-      let pos = (word * 8) + (bit / 8) in
+      let elem = re mod s.A.s_len in
+      let bit = rb mod (if s.A.s_width = 4 then 32 else 63) in
+      let pos = (s.A.s_off * 8) + (elem * s.A.s_width) + (bit / 8) in
       let bytes = Bytes.of_string pristine in
       Bytes.set bytes pos
         (Char.chr (Char.code (Bytes.get bytes pos) lxor (1 lsl (bit mod 8))));
@@ -601,8 +732,8 @@ let test_section_flips_detected =
       | Error _ -> true
       | Ok _ ->
           Test.fail_reportf
-            "undetected flip in section %S (word %d, bit %d)" s.A.s_name
-            (word - s.A.s_off) bit)
+            "undetected flip in section %S (element %d, bit %d)" s.A.s_name
+            elem bit)
 
 (* ------------------------------------------------------------------ *)
 
@@ -619,12 +750,14 @@ let () =
         [
           Alcotest.test_case "check vector" `Quick test_crc64_check_vector;
           test_crc64_word_vs_bytes;
+          test_crc64_i32_vs_bytes;
         ] );
       ( "round-trip",
         [
           Alcotest.test_case "trace identity" `Quick test_trace_round_trip;
           Alcotest.test_case "matmul identity (no kernels)" `Quick
             test_matmul_round_trip;
+          Alcotest.test_case "no boxed wire loads" `Quick test_no_boxed_loads;
         ] );
       ( "store",
         [
@@ -635,6 +768,8 @@ let () =
             test_payload_corruption_quarantined;
           Alcotest.test_case "stale format rejected" `Quick
             test_stale_format_rejected;
+          Alcotest.test_case "stale kernel revision recompiles" `Quick
+            test_stale_kernel_rev_recompiles;
           Alcotest.test_case "gc sweeps dead files" `Quick test_gc;
         ] );
       ( "corruption",

@@ -1129,10 +1129,10 @@ let test_packed_one_lane_profile () =
       S.check_bool (Printf.sprintf "level %d timed" l) true (ns > 0.))
     prof.Packed.ep_level_ns
 
-(* Unchecked sums multiply a group's count by the group weight; checked
-   sums and session deltas add each edge's own weight.  A loaded section
-   set where the two disagree must be refused, not evaluated two ways. *)
-let test_packed_load_rejects_stray_weight () =
+(* Sections are outside input: a checksum-clean but hostile set must be
+   refused with [Error] — never an exception, never adopted for the
+   unsafe evaluators to read out of bounds. *)
+let test_packed_load_rejects_hostile_sections () =
   let b = Builder.create () in
   let ins = Builder.add_inputs b 6 in
   let layer =
@@ -1141,16 +1141,62 @@ let test_packed_load_rejects_stray_weight () =
   in
   Array.iter (Builder.output b) layer;
   let s = Packed.save (Packed.of_circuit (Builder.finalize b)) in
-  S.check_bool "clean sections load" true (Result.is_ok (Packed.load s));
-  let w = s.Packed.sec_pool_weights in
-  let stray =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-      (Bigarray.Array1.dim w)
+  let nsegs = Array.length s.Packed.sec_seg_off in
+  let num_wires = s.Packed.sec_num_inputs + s.Packed.sec_num_gates in
+  (* One generic spec shared by every segment: a well-formed table. *)
+  let s =
+    {
+      s with
+      Packed.sec_kern_table = Kernel.encode_specs [| Kernel.Generic |];
+      sec_kern_index = Array.make nsegs 0;
+    }
   in
-  Bigarray.Array1.blit w stray;
-  stray.{0} <- 5;
-  S.check_bool "stray edge weight refused" true
-    (Result.is_error (Packed.load { s with Packed.sec_pool_weights = stray }))
+  S.check_bool "clean sections load" true (Result.is_ok (Packed.load s));
+  let with_wire v i w =
+    let v' =
+      Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout
+        (Bigarray.Array1.dim v)
+    in
+    Bigarray.Array1.blit v v';
+    v'.{i} <- Int32.of_int w;
+    v'
+  in
+  let refused name s =
+    match Packed.load s with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: loaded" name
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  in
+  refused "negative pool wire"
+    { s with Packed.sec_pool_wires = with_wire s.Packed.sec_pool_wires 0 (-1) };
+  refused "pool wire equal to the wire count"
+    {
+      s with
+      Packed.sec_pool_wires = with_wire s.Packed.sec_pool_wires 0 num_wires;
+    };
+  refused "g_wire naming an input"
+    { s with Packed.sec_g_wire = with_wire s.Packed.sec_g_wire 0 0 };
+  List.iter
+    (fun past ->
+      refused
+        (Printf.sprintf "kern index %d past the table" past)
+        {
+          s with
+          Packed.sec_kern_index =
+            Array.init nsegs (fun i -> if i = 0 then past else 0);
+        })
+    [ 1; max_int ];
+  refused "table entry that does not decode"
+    { s with Packed.sec_kern_table = [| 99 |] };
+  (* Wire ids are int32: a gateless circuit is otherwise valid at any
+     input count, so only the wire-count bound refuses one past 2^31. *)
+  let b0 = Builder.create () in
+  ignore (Builder.add_inputs b0 1);
+  let z = Packed.save (Packed.of_circuit (Builder.finalize b0)) in
+  S.check_bool "2^31 wires fit" true
+    (Result.is_ok (Packed.load { z with Packed.sec_num_inputs = 1 lsl 31 }));
+  refused "wire count past 2^31"
+    { z with Packed.sec_num_inputs = (1 lsl 31) + 1 }
 
 let test_engine_cache_reuse () =
   let b = Builder.create () in
@@ -1281,8 +1327,8 @@ let () =
           Alcotest.test_case "overflow traps everywhere" `Quick
             test_packed_overflow_all_engines;
           Alcotest.test_case "one-lane profile" `Quick test_packed_one_lane_profile;
-          Alcotest.test_case "load rejects stray weight" `Quick
-            test_packed_load_rejects_stray_weight;
+          Alcotest.test_case "load rejects hostile sections" `Quick
+            test_packed_load_rejects_hostile_sections;
           Alcotest.test_case "engine cache" `Quick test_engine_cache_reuse;
           Alcotest.test_case "engine cache alternation" `Quick
             test_engine_cache_alternation;
