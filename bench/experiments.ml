@@ -866,27 +866,14 @@ let e20 ?(ns = [ 8; 16; 32 ]) () =
         Some (t_stamp_build, t_stamp_pack)
       end
     in
-    (* Direct leg: stamped arena lowered straight to CSR, at 1/2/4
-       evaluation domains for the parallel lowering pass. *)
+    (* Direct leg: stamped arena lowered straight to CSR. *)
     let d_b, t_direct_build =
       time (fun () -> build ~mode:Builder.Direct ~templates:true ~schedule ~n)
     in
     check (family ^ " direct") n expect (Builder.stats d_b.eb_builder);
     let arena = Builder.arena d_b.eb_builder in
-    let lower_times =
-      List.map
-        (fun domains ->
-          let t =
-            if domains = 1 then snd (time (fun () -> Th.Packed.of_arena arena))
-            else
-              Th.Packed.Pool.with_pool ~domains (fun pool ->
-                  snd (time (fun () -> Th.Packed.of_arena ~pool arena)))
-          in
-          Gc.compact ();
-          (domains, t))
-        [ 1; 2; 4 ]
-    in
-    let t_direct_lower = List.assoc 1 lower_times in
+    let _p, t_direct_lower = time (fun () -> Th.Packed.of_arena arena) in
+    Gc.compact ();
     (* Certificate: the direct-lowered circuit evaluates correctly
        against the plain integer reference. *)
     let eval_ok = d_b.eb_eval () in
@@ -935,16 +922,13 @@ let e20 ?(ns = [ 8; 16; 32 ]) () =
             ])
       @ [
          ("direct_build_seconds", Bench_util.Float t_direct_build);
+         ("direct_lower_seconds", Bench_util.Float t_direct_lower);
          ("direct_total_seconds", Bench_util.Float direct_total);
          ("templates", Bench_util.Int ts.Builder.templates);
          ("template_instances", Bench_util.Int ts.Builder.instances);
          ("stamped_gates", Bench_util.Int ts.Builder.stamped_gates);
          ("eval_certificate_ok", Bench_util.Bool eval_ok);
        ]
-      @ List.map
-          (fun (d, t) ->
-            (Printf.sprintf "direct_lower_domains%d_seconds" d, Bench_util.Float t))
-          lower_times
       @ (match legacy with
         | None -> []
         | Some (_, b, p) ->

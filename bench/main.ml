@@ -86,10 +86,10 @@ let e8 () =
 
 
 (* E17: evaluation engines — gate-at-a-time reference interpreter vs the
-   packed levelized engine (sequential, multicore, and batched). *)
+   packed levelized engine (one vector at a time and batched). *)
 let e17 () =
   Bench_util.header
-    "E17: simulator engines (reference vs packed vs parallel vs batched)";
+    "E17: simulator engines (reference vs packed vs batched)";
   let module Th = Tcmm_threshold in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -117,17 +117,6 @@ let e17 () =
       && r.Th.Simulator.level_firings = r_ref.Th.Simulator.level_firings
     in
     if not (agree r_seq) then failwith (label ^ ": packed-seq disagrees");
-    let par_times =
-      List.map
-        (fun domains ->
-          Th.Packed.Pool.with_pool ~domains (fun pool ->
-              let r, t = best 3 (fun () -> Th.Packed.run ~pool p iv) in
-              if not (agree r) then
-                failwith
-                  (Printf.sprintf "%s: packed %d domains disagrees" label domains);
-              (domains, t)))
-        [ 2; 4 ]
-    in
     let br, t_batch = best 2 (fun () -> Th.Packed.run_batch p inputs) in
     if
       Th.Packed.batch_outputs br ~lane:0 <> r_ref.Th.Simulator.outputs
@@ -143,22 +132,12 @@ let e17 () =
           sec t_seq;
           Tb.Str (Printf.sprintf "%.0fx" (t_ref /. t_seq));
         ]
-      ]
-      @ List.map
-          (fun (d, t) ->
-            [
-              Tb.Str (Printf.sprintf "packed %d domains" d);
-              sec t;
-              Tb.Str (Printf.sprintf "%.0fx" (t_ref /. t));
-            ])
-          par_times
-      @ [
-          [
-            Tb.Str (Printf.sprintf "batched B=%d (per vector)" batch_size);
-            sec t_batch_vec;
-            Tb.Str (Printf.sprintf "%.0fx" (t_ref /. t_batch_vec));
-          ];
+      ; [
+          Tb.Str (Printf.sprintf "batched B=%d (per vector)" batch_size);
+          sec t_batch_vec;
+          Tb.Str (Printf.sprintf "%.0fx" (t_ref /. t_batch_vec));
         ]
+      ]
     in
     Tb.print
       ~title:
@@ -170,25 +149,21 @@ let e17 () =
       (t_ref /. t_seq)
       (t_seq /. t_batch_vec);
     Bench_util.record ~experiment:"e17"
-      ([
-         ("circuit", Bench_util.Str label);
-         ("gates", Bench_util.Int (Th.Packed.num_gates p));
-         ("levels", Bench_util.Int (Th.Packed.num_levels p));
-         ("pool_edges", Bench_util.Int (Th.Packed.pool_edges p));
-         ("pack_seconds", Bench_util.Float t_pack);
-         ("reference_seconds", Bench_util.Float t_ref);
-         ("packed_seq_seconds", Bench_util.Float t_seq);
-         ("packed_seq_speedup_vs_reference", Bench_util.Float (t_ref /. t_seq));
-         ("batch_size", Bench_util.Int batch_size);
-         ("batched_seconds_total", Bench_util.Float t_batch);
-         ("batched_seconds_per_vector", Bench_util.Float t_batch_vec);
-         ( "batched_speedup_vs_packed_seq",
-           Bench_util.Float (t_seq /. t_batch_vec) );
-       ]
-      @ List.map
-          (fun (d, t) ->
-            (Printf.sprintf "packed_domains%d_seconds" d, Bench_util.Float t))
-          par_times)
+      [
+        ("circuit", Bench_util.Str label);
+        ("gates", Bench_util.Int (Th.Packed.num_gates p));
+        ("levels", Bench_util.Int (Th.Packed.num_levels p));
+        ("pool_edges", Bench_util.Int (Th.Packed.pool_edges p));
+        ("pack_seconds", Bench_util.Float t_pack);
+        ("reference_seconds", Bench_util.Float t_ref);
+        ("packed_seq_seconds", Bench_util.Float t_seq);
+        ("packed_seq_speedup_vs_reference", Bench_util.Float (t_ref /. t_seq));
+        ("batch_size", Bench_util.Int batch_size);
+        ("batched_seconds_total", Bench_util.Float t_batch);
+        ("batched_seconds_per_vector", Bench_util.Float t_batch_vec);
+        ( "batched_speedup_vs_packed_seq",
+          Bench_util.Float (t_seq /. t_batch_vec) );
+      ]
   in
   let rng = Tcmm_util.Prng.create ~seed:11 in
   let mm = Lazy.force shared_mm16 in
@@ -368,18 +343,7 @@ let e19 () =
   Bench_util.header
     "E19: correctness harness (certificates, fuzzing, mutation kill rate)";
   let module Ck = Tcmm_check in
-  let can_fork =
-    (* Unix.fork is forbidden once any domain has been spawned (e17
-       does); probe so a full-suite run still yields E19, just without
-       the forked-server fuzz leg. *)
-    match Unix.fork () with
-    | 0 -> Unix._exit 0
-    | pid ->
-        ignore (Unix.waitpid [] pid);
-        true
-    | exception Failure _ -> false
-  in
-  let r = Ck.Harness.run ~seed:1 ~cases:50 ~mutants:120 ~include_server:can_fork () in
+  let r = Ck.Harness.run ~seed:1 ~cases:50 ~mutants:120 ~include_server:true () in
   Ck.Harness.print_report r;
   let killed = r.Ck.Harness.mutation.Ck.Mutate.structural + r.Ck.Harness.mutation.Ck.Mutate.behavioral in
   Bench_util.record ~experiment:"e19"
@@ -587,12 +551,12 @@ let e21 () =
         json_rows)
 
 (* E23: template-specialized evaluation kernels — batched evaluation
-   with kernels vs the generic CSR loop vs one-vector-at-a-time, across
-   domain counts.  Every lane is checked bit-identical (outputs,
-   firings, per-level firings) between the kernel and generic engines
-   before any number is reported, so a kernel miscompile fails the run
-   instead of skewing it. *)
-let e23 ?(ns = [ 16; 32 ]) ?(domain_counts = [ 1; 2; 4 ]) () =
+   with kernels vs the generic CSR loop vs one-vector-at-a-time.  Every
+   lane is checked bit-identical (outputs, firings, per-level firings)
+   between the kernel and generic engines before any number is
+   reported, so a kernel miscompile fails the run instead of skewing
+   it. *)
+let e23 ?(ns = [ 16; 32 ]) () =
   Bench_util.header
     "E23: evaluation kernels (specialized vs generic batched vs packed-seq)";
   let module Th = Tcmm_threshold in
@@ -653,55 +617,36 @@ let e23 ?(ns = [ 16; 32 ]) ?(domain_counts = [ 1; 2; 4 ]) () =
       let r_seq = Th.Packed.run p_kern inputs.(0) in
       if r_seq.Th.Simulator.outputs <> Th.Packed.batch_outputs br_k ~lane:0 then
         failwith (Printf.sprintf "e23: packed-seq vs kernel batch divergence at N=%d" n);
-      let rows =
-        List.map
-          (fun domains ->
-            let with_pool f =
-              if domains = 1 then f None
-              else Th.Packed.Pool.with_pool ~domains (fun p -> f (Some p))
-            in
-            with_pool (fun pool ->
-                (* One shared workspace keeps the 13 MB wire buffer out
-                   of both timed legs — the comparison stays apples to
-                   apples. *)
-                let ws = Th.Packed.workspace () in
-                let _, t_seq = best 2 (fun () -> Th.Packed.run ?pool p_kern inputs.(0)) in
-                let _, t_gen = best 5 (fun () -> Th.Packed.run_batch ?pool ~ws p_gen inputs) in
-                let _, t_kern = best 5 (fun () -> Th.Packed.run_batch ?pool ~ws p_kern inputs) in
-                let gen_vec = t_gen /. float_of_int batch in
-                let kern_vec = t_kern /. float_of_int batch in
-                Bench_util.record ~experiment:"e23"
-                  [
-                    ("circuit", Bench_util.Str (Printf.sprintf "matmul N=%d d=2 (Theorem 4.9)" n));
-                    ("n", Bench_util.Int n);
-                    ("domains", Bench_util.Int domains);
-                    ("gates", Bench_util.Int (Th.Packed.num_gates p_kern));
-                    ("levels", Bench_util.Int (Th.Packed.num_levels p_kern));
-                    ("pool_edges", Bench_util.Int (Th.Packed.pool_edges p_kern));
-                    ("build_seconds", Bench_util.Float t_build);
-                    ("lower_seconds", Bench_util.Float t_lower);
-                    ("kernel_gates", Bench_util.Int cov.Th.Packed.kernel_gates);
-                    ("fallback_gates", Bench_util.Int cov.Th.Packed.fallback_gates);
-                    ("kernel_segments", Bench_util.Int cov.Th.Packed.kernel_segments);
-                    ("generic_segments", Bench_util.Int cov.Th.Packed.generic_segments);
-                    ("kernel_coverage", Bench_util.Float coverage);
-                    ("batch_size", Bench_util.Int batch);
-                    ("packed_seq_seconds", Bench_util.Float t_seq);
-                    ("generic_batched_per_vector", Bench_util.Float gen_vec);
-                    ("kernel_batched_per_vector", Bench_util.Float kern_vec);
-                    ("kernel_speedup_vs_generic", Bench_util.Float (t_gen /. t_kern));
-                    ( "kernel_batched_speedup_vs_packed_seq",
-                      Bench_util.Float (t_seq /. kern_vec) );
-                  ];
-                [
-                  Tb.Int domains;
-                  Tb.Str (Printf.sprintf "%.2f ms" (t_seq *. 1e3));
-                  Tb.Str (Printf.sprintf "%.3f ms" (gen_vec *. 1e3));
-                  Tb.Str (Printf.sprintf "%.3f ms" (kern_vec *. 1e3));
-                  Tb.Str (Printf.sprintf "%.1fx" (t_gen /. t_kern));
-                ]))
-          domain_counts
-      in
+      (* One shared workspace keeps the 13 MB wire buffer out of both
+         timed legs — the comparison stays apples to apples. *)
+      let ws = Th.Packed.workspace () in
+      let _, t_seq = best 2 (fun () -> Th.Packed.run p_kern inputs.(0)) in
+      let _, t_gen = best 5 (fun () -> Th.Packed.run_batch ~ws p_gen inputs) in
+      let _, t_kern = best 5 (fun () -> Th.Packed.run_batch ~ws p_kern inputs) in
+      let gen_vec = t_gen /. float_of_int batch in
+      let kern_vec = t_kern /. float_of_int batch in
+      Bench_util.record ~experiment:"e23"
+        [
+          ("circuit", Bench_util.Str (Printf.sprintf "matmul N=%d d=2 (Theorem 4.9)" n));
+          ("n", Bench_util.Int n);
+          ("gates", Bench_util.Int (Th.Packed.num_gates p_kern));
+          ("levels", Bench_util.Int (Th.Packed.num_levels p_kern));
+          ("pool_edges", Bench_util.Int (Th.Packed.pool_edges p_kern));
+          ("build_seconds", Bench_util.Float t_build);
+          ("lower_seconds", Bench_util.Float t_lower);
+          ("kernel_gates", Bench_util.Int cov.Th.Packed.kernel_gates);
+          ("fallback_gates", Bench_util.Int cov.Th.Packed.fallback_gates);
+          ("kernel_segments", Bench_util.Int cov.Th.Packed.kernel_segments);
+          ("generic_segments", Bench_util.Int cov.Th.Packed.generic_segments);
+          ("kernel_coverage", Bench_util.Float coverage);
+          ("batch_size", Bench_util.Int batch);
+          ("packed_seq_seconds", Bench_util.Float t_seq);
+          ("generic_batched_per_vector", Bench_util.Float gen_vec);
+          ("kernel_batched_per_vector", Bench_util.Float kern_vec);
+          ("kernel_speedup_vs_generic", Bench_util.Float (t_gen /. t_kern));
+          ( "kernel_batched_speedup_vs_packed_seq",
+            Bench_util.Float (t_seq /. kern_vec) );
+        ];
       Tb.print
         ~title:
           (Printf.sprintf
@@ -711,8 +656,16 @@ let e23 ?(ns = [ 16; 32 ]) ?(domain_counts = [ 1; 2; 4 ]) () =
              (cov.Th.Packed.kernel_segments + cov.Th.Packed.generic_segments)
              batch)
         ~header:
-          [ "domains"; "seq/vector"; "generic batched/vec"; "kernel batched/vec"; "kernel speedup" ]
-        ~rows;
+          [ "seq/vector"; "generic batched/vec"; "kernel batched/vec"; "kernel speedup" ]
+        ~rows:
+          [
+            [
+              Tb.Str (Printf.sprintf "%.2f ms" (t_seq *. 1e3));
+              Tb.Str (Printf.sprintf "%.3f ms" (gen_vec *. 1e3));
+              Tb.Str (Printf.sprintf "%.3f ms" (kern_vec *. 1e3));
+              Tb.Str (Printf.sprintf "%.1fx" (t_gen /. t_kern));
+            ];
+          ];
       Gc.compact ())
     ns
 
@@ -1435,9 +1388,6 @@ let e27 ?(entry_bits = 6) ?(d = 2)
       ]
     ~rows
 
-(* e18, e19, e21, and e25 fork server children; they are listed before
-   e17 because Unix.fork is forbidden after e17 has spawned worker
-   domains. *)
 let all_experiments =
   [
     ("e1", Experiments.e1);
@@ -1458,39 +1408,34 @@ let all_experiments =
     ("e18", e18);
     ("e19", e19);
     ("e21", e21);
-    (* e25 forks a fleet supervisor plus per-worker client children; the
-       smoke variant is the CI subset (3 workers, fewer requests, a
-       correspondingly lower speedup gate on shared CI cores). *)
+    (* The e25 smoke variant is the CI subset (3 workers, fewer
+       requests, a correspondingly lower speedup gate on shared CI
+       cores). *)
     ("e25", fun () -> e25 ());
     ( "e25-smoke",
       fun () ->
         e25 ~workers:3 ~per_client:150 ~seq_requests:150 ~gate:1.5 () );
-    (* e20 spawns domains for its parallel lowering legs, so it sits
-       after the forking experiments (e18/e19), like e17. *)
     ("e20", fun () -> Experiments.e20 ());
     ("e20-smoke", fun () -> Experiments.e20 ~ns:[ 8 ] ());
     ("e17", e17);
-    (* e23 spawns domains too; the smoke variant is the CI subset (N=16,
-       fewer domain counts) and still fails hard on any kernel-vs-generic
-       divergence. *)
+    (* The e23 smoke variant is the CI subset (N=16) and still fails
+       hard on any kernel-vs-generic divergence. *)
     ("e23", fun () -> e23 ());
-    ("e23-smoke", fun () -> e23 ~ns:[ 16 ] ~domain_counts:[ 1; 2 ] ());
-    (* e24 neither forks nor spawns domains; the smoke variant is the
-       CI subset (N=8 only, same differential gates, no speedup floor
-       at that size). *)
+    ("e23-smoke", fun () -> e23 ~ns:[ 16 ] ());
+    (* The e24 smoke variant is the CI subset (N=8 only, same
+       differential gates, no speedup floor at that size). *)
     ("e24", fun () -> e24 ());
     ("e24-smoke", fun () -> e24 ~ns:[ 8 ] ());
-    (* e26 neither forks nor spawns domains; the smoke variant keeps the
-       full divergence gate but derates the speedup floor for shared CI
-       cores and trims the update counts. *)
+    (* The e26 smoke variant keeps the full divergence gate but derates
+       the speedup floor for shared CI cores and trims the update
+       counts. *)
     ("e26", fun () -> e26 ());
     ( "e26-smoke",
       fun () ->
         e26 ~updates:12 ~verify_updates:8 ~batch_sizes:[ 1; 16 ] ~gate:3.0 ()
     );
-    (* e27 neither forks nor spawns domains (count-only builds); the
-       smoke variant trims the matrix to one size per algorithm but
-       keeps the kronpow never-grows gate. *)
+    (* The e27 smoke variant trims the matrix to one size per algorithm
+       but keeps the kronpow never-grows gate. *)
     ("e27", fun () -> e27 ());
     ( "e27-smoke",
       fun () ->

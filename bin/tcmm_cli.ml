@@ -75,13 +75,6 @@ let engine_term =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:"Evaluator: $(b,packed) (levelized, default) or $(b,reference).")
 
-let domains_term =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "domains" ] ~docv:"K"
-        ~doc:"Evaluation domains for the packed engine (1 = sequential).")
-
 let no_templates_term =
   Arg.(
     value & flag
@@ -186,8 +179,8 @@ let stats_cmd =
     Term.(const run $ algo_term $ n_term $ d_term $ bits_term $ schedule_term)
 
 let verify_cmd =
-  let run algo n d bits sched seed engine domains no_templates profile
-      no_kernels profile_eval =
+  let run algo n d bits sched seed engine no_templates profile no_kernels
+      profile_eval =
     let templates = not no_templates in
     let kernels = not no_kernels in
     (* With templates on the build goes straight to the packed CSR form
@@ -220,7 +213,7 @@ let verify_cmd =
         ~entry_bits:bits ~n ()
     in
     let t1 = Unix.gettimeofday () in
-    let packed = T.Matmul_circuit.pack ~domains ~kernels built in
+    let packed = T.Matmul_circuit.pack ~kernels built in
     let t2 = Unix.gettimeofday () in
     profile_phases "matmul" built.T.Matmul_circuit.builder ~construct:(t1 -. t0)
       ~lower:(t2 -. t1);
@@ -241,7 +234,7 @@ let verify_cmd =
       cov.Tcmm_threshold.Packed.kernel_segments
       (cov.Tcmm_threshold.Packed.kernel_segments
       + cov.Tcmm_threshold.Packed.generic_segments);
-    let c = T.Matmul_circuit.run ~engine ~domains built ~a ~b in
+    let c = T.Matmul_circuit.run ~engine built ~a ~b in
     let ok_mm = F.Matrix.equal c (F.Matrix.mul a b) in
     Format.printf "matmul circuit matches reference: %b@." ok_mm;
     if profile_eval then begin
@@ -261,8 +254,7 @@ let verify_cmd =
               T.Matmul_circuit.encode_inputs built ~a ~b)
         in
         let (_ : Tcmm_threshold.Packed.batch_result) =
-          Tcmm_threshold.Packed.run_batch ~domains ~profile:prof ~ws packed
-            inputs
+          Tcmm_threshold.Packed.run_batch ~profile:prof ~ws packed inputs
         in
         ()
       done;
@@ -287,13 +279,13 @@ let verify_cmd =
         ~tau:expect ~n ()
     in
     let t1 = Unix.gettimeofday () in
-    let (_ : Tcmm_threshold.Packed.t) = T.Trace_circuit.pack ~domains ~kernels trace in
+    let (_ : Tcmm_threshold.Packed.t) = T.Trace_circuit.pack ~kernels trace in
     let t2 = Unix.gettimeofday () in
     profile_phases "trace" trace.T.Trace_circuit.builder ~construct:(t1 -. t0)
       ~lower:(t2 -. t1);
     let ok_tr =
-      T.Trace_circuit.trace_value ~engine ~domains trace m = expect
-      && T.Trace_circuit.run ~engine ~domains trace m
+      T.Trace_circuit.trace_value ~engine trace m = expect
+      && T.Trace_circuit.run ~engine trace m
     in
     Format.printf "trace circuit matches reference: %b@." ok_tr;
     if ok_mm && ok_tr then 0 else 1
@@ -302,11 +294,11 @@ let verify_cmd =
     (Cmd.info "verify" ~doc:"Build circuits and check them against integer references.")
     Term.(
       const run $ algo_term $ n_term $ d_term $ bits_term $ schedule_term $ seed_term
-      $ engine_term $ domains_term $ no_templates_term $ profile_build_term
-      $ no_kernels_term $ profile_eval_term)
+      $ engine_term $ no_templates_term $ profile_build_term $ no_kernels_term
+      $ profile_eval_term)
 
 let triangles_cmd =
-  let run n d p tau seed engine domains graphs =
+  let run n d p tau seed engine graphs =
     let rng = Tcmm_util.Prng.create ~seed in
     let g = Tcmm_graph.Generate.erdos_renyi rng ~n ~p in
     let exact = Tcmm_graph.Triangles.count g in
@@ -317,7 +309,7 @@ let triangles_cmd =
     let profile = F.Sparsity.analyze algo in
     let schedule = T.Level_schedule.theorem45 ~profile ~d ~n in
     let built = T.Trace_circuit.build ~algo ~schedule ~entry_bits:1 ~tau:(6 * tau) ~n () in
-    let fires = T.Trace_circuit.run ~engine ~domains built (Tcmm_graph.Graph.adjacency g) in
+    let fires = T.Trace_circuit.run ~engine built (Tcmm_graph.Graph.adjacency g) in
     Format.printf "circuit (depth %d, %s): at least %d triangles? %b (truth: %b)@."
       (T.Gate_model.trace_depth schedule)
       (Tcmm_threshold.Stats.to_row (T.Trace_circuit.stats built))
@@ -329,7 +321,7 @@ let triangles_cmd =
     let ok_rest =
       if graphs <= 1 then true
       else begin
-        let packed = T.Trace_circuit.pack ~domains built in
+        let packed = T.Trace_circuit.pack built in
         let ws = Tcmm_threshold.Packed.workspace () in
         let out = built.T.Trace_circuit.output in
         let remaining = ref (graphs - 1) and agree = ref 0 and total = ref 0 in
@@ -344,7 +336,7 @@ let triangles_cmd =
                 T.Trace_circuit.encode_input built (Tcmm_graph.Graph.adjacency g))
               gs
           in
-          let br = Tcmm_threshold.Packed.run_batch ~domains ~ws packed inputs in
+          let br = Tcmm_threshold.Packed.run_batch ~ws packed inputs in
           Array.iteri
             (fun lane g ->
               incr total;
@@ -378,7 +370,7 @@ let triangles_cmd =
     (Cmd.info "triangles" ~doc:"Threshold-query the triangle count of a random graph.")
     Term.(
       const run $ n_term $ d_term $ p_term $ tau_term $ seed_term $ engine_term
-      $ domains_term $ graphs_term)
+      $ graphs_term)
 
 (* The streaming edge-flip scenario: hold a graph, send flips, and
    re-answer the triangle threshold query incrementally — locally
@@ -608,9 +600,8 @@ let addr_term =
         ~doc:"Server address: $(b,HOST:PORT) for TCP, anything else is a Unix socket path.")
 
 let serve_cmd =
-  let run addr cache lanes flush domains no_templates profile no_kernels
-      profile_eval max_pending deadline grace store workers reuseport control
-      verbose =
+  let run addr cache lanes flush no_templates profile no_kernels profile_eval
+      max_pending deadline grace store workers reuseport control verbose =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info));
     match P.parse_addr addr with
@@ -624,7 +615,6 @@ let serve_cmd =
             cache_capacity = cache;
             flush_ms = flush;
             max_lanes = lanes;
-            domains;
             templates = not no_templates;
             kernels = not no_kernels;
             profile_build = profile;
@@ -753,7 +743,7 @@ let serve_cmd =
        ~doc:
          "Serve compiled circuits over a socket with caching and request coalescing.")
     Term.(
-      const run $ addr_term $ cache_term $ lanes_term $ flush_term $ domains_term
+      const run $ addr_term $ cache_term $ lanes_term $ flush_term
       $ no_templates_term $ profile_build_term $ no_kernels_term
       $ profile_eval_term $ pending_term $ deadline_term
       $ grace_term $ store_term $ workers_term $ reuseport_term $ control_term

@@ -71,8 +71,6 @@ let oracle_built =
      T.Matmul_circuit.build ~algo ~schedule ~signed_inputs:spec.P.signed
        ~entry_bits:spec.P.entry_bits ~n:spec.P.n ())
 
-(* Sequential packed evaluation only: this module forks server children,
-   and OCaml forbids [Unix.fork] after any domain has been spawned. *)
 let oracle ~a ~b = T.Matmul_circuit.run (Lazy.force oracle_built) ~a ~b
 
 let random_pair rng =

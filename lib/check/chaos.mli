@@ -36,9 +36,7 @@
     [sent = completed + typed failures] is checked at the end).
 
     Everything is driven by one seeded {!Tcmm_util.Prng} stream, so a
-    failing run is reproducible from its seed.  The harness forks; like
-    the rest of [lib/check] it must run before any code spawns domains,
-    and all oracle evaluation is sequential. *)
+    failing run is reproducible from its seed. *)
 
 type outcome = {
   seed : int;

@@ -226,10 +226,6 @@ let replay_corpus dir =
 let run ?(seed = 1) ?(cases = 50) ?incremental_cases ?(mutants = 120)
     ?(include_server = false) ?corpus_dir ?algo () =
   let incremental_cases = Option.value incremental_cases ~default:cases in
-  (* The server legs must run first: they fork, and OCaml forbids
-     [Unix.fork] once any domain has ever been spawned — which the
-     in-process oracle's multi-domain evaluation does.  (The incremental
-     server leg builds circuits client-side too, but sequentially.) *)
   let server_legs =
     if include_server then
       Some

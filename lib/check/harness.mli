@@ -38,11 +38,7 @@ val mutation_battery : ?seed:int -> mutants:int -> unit -> Mutate.sweep
 
 val with_loopback_server : (Tcmm_server.Client.t -> 'a) -> 'a
 (** Fork a server on a private Unix socket, connect, run, then shut the
-    server down and reap the child (also on exceptions).  Must be called
-    before anything in the process spawns a domain: OCaml forbids
-    [Unix.fork] once another domain has ever been created, and the
-    in-process oracle's multi-domain evaluation does exactly that
-    ({!run} therefore takes its server leg first). *)
+    server down and reap the child (also on exceptions). *)
 
 val run :
   ?seed:int ->

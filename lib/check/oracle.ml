@@ -153,7 +153,6 @@ let check_trace (c : Case.t) =
   let expected = expected_trace >= c.tau in
   let reference = T.Trace_circuit.run ~engine:Th.Simulator.Reference built a in
   let packed = T.Trace_circuit.run ~engine:Th.Simulator.Packed built a in
-  let packed2 = T.Trace_circuit.run ~engine:Th.Simulator.Packed ~domains:2 built a in
   let value = T.Trace_circuit.trace_value built a in
   if value <> expected_trace then
     fail "trace_value %d <> integer reference %d" value expected_trace
@@ -161,9 +160,7 @@ let check_trace (c : Case.t) =
     fail "Simulator says %b, integer reference says %b (trace %d, tau %d)"
       reference expected expected_trace c.tau
   else if packed <> reference then
-    fail "Packed (sequential) says %b, Simulator says %b" packed reference
-  else if packed2 <> reference then
-    fail "Packed (2 domains) says %b, Simulator says %b" packed2 reference
+    fail "Packed says %b, Simulator says %b" packed reference
   else
     (* Batched lanes: the case's matrix plus two further draws. *)
     let lanes = Array.init 3 (fun i -> Case.matrix c ~index:i) in
@@ -207,15 +204,10 @@ let check_matmul (c : Case.t) =
   let expected = F.Matrix.mul a b in
   let reference = T.Matmul_circuit.run ~engine:Th.Simulator.Reference built ~a ~b in
   let packed = T.Matmul_circuit.run ~engine:Th.Simulator.Packed built ~a ~b in
-  let packed2 =
-    T.Matmul_circuit.run ~engine:Th.Simulator.Packed ~domains:2 built ~a ~b
-  in
   if not (F.Matrix.equal reference expected) then
     fail "Simulator product disagrees with integer reference on %a" Case.pp c
   else if not (F.Matrix.equal packed reference) then
-    fail "Packed (sequential) product disagrees with Simulator"
-  else if not (F.Matrix.equal packed2 reference) then
-    fail "Packed (2 domains) product disagrees with Simulator"
+    fail "Packed product disagrees with Simulator"
   else
     let pairs =
       Array.init 3 (fun i ->

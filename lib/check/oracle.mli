@@ -10,7 +10,7 @@
       {!Tcmm_fastmm.Matrix.mul}) — the ground truth;
     - the gate-at-a-time reference interpreter ({!Tcmm_threshold.Simulator},
       overflow-checked);
-    - the packed levelized engine, sequential and with 2 domains;
+    - the packed levelized engine ({!Tcmm_threshold.Packed.run});
     - {!Tcmm_threshold.Packed.run_batch} with several lanes (the case's
       matrix plus further deterministic draws);
     - for matmul cases, the same lanes through a [Builder.Direct] build

@@ -53,7 +53,7 @@ let encode_inputs built ~a ~b =
   Encode.write built.layout_b b input;
   input
 
-let pack ?pool ?domains ?kernels built =
+let pack ?kernels built =
   match built.packed with
   | Some p -> p
   | None ->
@@ -63,8 +63,7 @@ let pack ?pool ?domains ?kernels built =
         | None -> (
             match Builder.mode built.builder with
             | Builder.Direct ->
-                Packed.of_arena ?pool ?domains ?kernels
-                  (Builder.arena built.builder)
+                Packed.of_arena ?kernels (Builder.arena built.builder)
             | _ ->
                 invalid_arg
                   "Matmul_circuit: circuit was built in Count_only mode")
@@ -76,25 +75,25 @@ let decode built read =
   let n = Array.length built.c_grid in
   Matrix.init ~rows:n ~cols:n (fun i j -> Repr.eval_sbits read built.c_grid.(i).(j))
 
-let run ?engine ?domains built ~a ~b =
+let run ?engine built ~a ~b =
   let inputs = encode_inputs built ~a ~b in
   let r =
     match built.circuit with
-    | Some c -> Engine.run ?engine ?domains built.cache c inputs
+    | Some c -> Engine.run ?engine built.cache c inputs
     | None -> (
         match engine with
         | Some Simulator.Reference ->
             Simulator.run (Packed.circuit (pack built)) inputs
-        | _ -> Packed.run ?domains (pack built) inputs)
+        | _ -> Packed.run (pack built) inputs)
   in
   decode built (Simulator.value r)
 
-let run_batch ?domains built pairs =
+let run_batch built pairs =
   let batch = Array.map (fun (a, b) -> encode_inputs built ~a ~b) pairs in
   let br =
     match built.circuit with
-    | Some c -> Engine.run_batch ?domains built.cache c batch
-    | None -> Packed.run_batch ?domains (pack built) batch
+    | Some c -> Engine.run_batch built.cache c batch
+    | None -> Packed.run_batch (pack built) batch
   in
   Array.init (Array.length pairs) (fun lane ->
       decode built (Packed.batch_value br ~lane))

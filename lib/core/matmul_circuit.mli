@@ -49,13 +49,11 @@ val build :
     gates+edges, but not wire-identical and up to 2 extra depth per
     multi-level step.  The W-side {!Combine_tree} is left flat. *)
 
-val pack :
-  ?pool:Packed.Pool.t -> ?domains:int -> ?kernels:bool -> built -> Packed.t
+val pack : ?kernels:bool -> built -> Packed.t
 (** The compiled evaluator form, memoized on [built]: the engine-cache
     compilation of [circuit] in [Materialize] mode, a direct
-    {!Packed.of_arena} lowering in [Direct] mode ([pool]/[domains]
-    parallelize the first lowering only).  Raises [Invalid_argument] in
-    [Count_only] mode. *)
+    {!Packed.of_arena} lowering in [Direct] mode.  Raises
+    [Invalid_argument] in [Count_only] mode. *)
 
 val encode_inputs : built -> a:Tcmm_fastmm.Matrix.t -> b:Tcmm_fastmm.Matrix.t -> bool array
 
@@ -66,7 +64,6 @@ val decode : built -> (Tcmm_threshold.Wire.t -> bool) -> Tcmm_fastmm.Matrix.t
 
 val run :
   ?engine:Simulator.engine ->
-  ?domains:int ->
   built ->
   a:Tcmm_fastmm.Matrix.t ->
   b:Tcmm_fastmm.Matrix.t ->
@@ -74,14 +71,10 @@ val run :
 (** Simulate and decode [C].  Works in [Materialize] and [Direct] modes
     (raises [Invalid_argument] in [Count_only]).  [engine] defaults to
     the packed evaluator ({!Tcmm_threshold.Packed}), compiled once per
-    [built] value; [domains > 1] evaluates levels in parallel on that
-    many cores. *)
+    [built] value. *)
 
 val run_batch :
-  ?domains:int ->
-  built ->
-  (Tcmm_fastmm.Matrix.t * Tcmm_fastmm.Matrix.t) array ->
-  Tcmm_fastmm.Matrix.t array
+  built -> (Tcmm_fastmm.Matrix.t * Tcmm_fastmm.Matrix.t) array -> Tcmm_fastmm.Matrix.t array
 (** Evaluate many [(a, b)] pairs in one batched circuit traversal
     ({!Tcmm_threshold.Packed.run_batch}) — much faster per product than
     repeated {!run}. *)

@@ -67,11 +67,11 @@ let triangle_encode built m =
   done;
   input
 
-let triangle_run ?engine ?domains built m =
+let triangle_run ?engine built m =
   match built.circuit with
   | None -> invalid_arg "triangle_run: Count_only mode"
   | Some c ->
-      (Engine.run ?engine ?domains built.cache c (triangle_encode built m))
+      (Engine.run ?engine built.cache c (triangle_encode built m))
         .Simulator.outputs.(0)
 
 (* ------------------------------------------------------------------ *)
@@ -112,20 +112,20 @@ let trace_threshold ?(mode = Builder.Materialize) ?(templates = true)
   { builder = b; circuit; output; trace_repr; layout; tau;
     cache = Engine.shared () }
 
-let trace_simulate ?engine ?domains built m =
+let trace_simulate ?engine built m =
   match built.circuit with
   | None -> invalid_arg "trace_run: Count_only mode"
   | Some c ->
       let input = Array.make (Encode.total_wires built.layout) false in
       Encode.write built.layout m input;
-      Engine.run ?engine ?domains built.cache c input
+      Engine.run ?engine built.cache c input
 
-let trace_run ?engine ?domains built m =
-  (trace_simulate ?engine ?domains built m).Simulator.outputs.(0)
+let trace_run ?engine built m =
+  (trace_simulate ?engine built m).Simulator.outputs.(0)
 
-let trace_value ?engine ?domains built m =
+let trace_value ?engine built m =
   Repr.eval_signed
-    (Simulator.value (trace_simulate ?engine ?domains built m))
+    (Simulator.value (trace_simulate ?engine built m))
     built.trace_repr
 
 (* ------------------------------------------------------------------ *)
@@ -219,7 +219,7 @@ let matmul_counts ?(signed_inputs = false) ~entry_bits ~n () =
   let entries = n * n in
   (Checked.mul entries (fst per_entry), Checked.mul entries (snd per_entry))
 
-let matmul_run ?engine ?domains built ~a ~b =
+let matmul_run ?engine built ~a ~b =
   match built.circuit with
   | None -> invalid_arg "matmul_run: Count_only mode"
   | Some c ->
@@ -230,7 +230,7 @@ let matmul_run ?engine ?domains built ~a ~b =
       in
       Encode.write built.layout_a a input;
       Encode.write built.layout_b b input;
-      let r = Engine.run ?engine ?domains built.cache c input in
+      let r = Engine.run ?engine built.cache c input in
       let n = Array.length built.c_grid in
       Matrix.init ~rows:n ~cols:n (fun i j ->
           Repr.eval_sbits (Simulator.value r) built.c_grid.(i).(j))

@@ -31,7 +31,7 @@ val triangle_encode : triangle_built -> Tcmm_fastmm.Matrix.t -> bool array
     [Invalid_argument] otherwise. *)
 
 val triangle_run :
-  ?engine:Simulator.engine -> ?domains:int -> triangle_built -> Tcmm_fastmm.Matrix.t -> bool
+  ?engine:Simulator.engine -> triangle_built -> Tcmm_fastmm.Matrix.t -> bool
 
 type trace_built = {
   builder : Builder.t;
@@ -54,10 +54,10 @@ val trace_threshold :
   trace_built
 
 val trace_run :
-  ?engine:Simulator.engine -> ?domains:int -> trace_built -> Tcmm_fastmm.Matrix.t -> bool
+  ?engine:Simulator.engine -> trace_built -> Tcmm_fastmm.Matrix.t -> bool
 
 val trace_value :
-  ?engine:Simulator.engine -> ?domains:int -> trace_built -> Tcmm_fastmm.Matrix.t -> int
+  ?engine:Simulator.engine -> trace_built -> Tcmm_fastmm.Matrix.t -> int
 
 type matmul_built = {
   builder : Builder.t;
@@ -79,7 +79,6 @@ val matmul :
 
 val matmul_run :
   ?engine:Simulator.engine ->
-  ?domains:int ->
   matmul_built ->
   a:Tcmm_fastmm.Matrix.t ->
   b:Tcmm_fastmm.Matrix.t ->

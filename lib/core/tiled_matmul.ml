@@ -87,7 +87,7 @@ let build ?(mode = Builder.Materialize) ?(templates = true)
   { builder = b; circuit; layout_a; layout_b; c_grid; block;
     cache = Engine.shared () }
 
-let run ?engine ?domains built ~a ~b =
+let run ?engine built ~a ~b =
   match built.circuit with
   | None -> invalid_arg "Tiled_matmul.run: circuit was not materialized"
   | Some c ->
@@ -98,7 +98,7 @@ let run ?engine ?domains built ~a ~b =
       in
       Encode.write built.layout_a a input;
       Encode.write built.layout_b b input;
-      let r = Engine.run ?engine ?domains built.cache c input in
+      let r = Engine.run ?engine built.cache c input in
       Matrix.init
         ~rows:(Array.length built.c_grid)
         ~cols:(Array.length built.c_grid.(0))

@@ -54,7 +54,6 @@ val build :
 
 val run :
   ?engine:Simulator.engine ->
-  ?domains:int ->
   built ->
   a:Tcmm_fastmm.Matrix.t ->
   b:Tcmm_fastmm.Matrix.t ->

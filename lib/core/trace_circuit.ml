@@ -124,7 +124,7 @@ let encode_input built m =
   Encode.write built.layout m input;
   input
 
-let pack ?pool ?domains ?kernels built =
+let pack ?kernels built =
   match built.packed with
   | Some p -> p
   | None ->
@@ -134,8 +134,7 @@ let pack ?pool ?domains ?kernels built =
         | None -> (
             match Builder.mode built.builder with
             | Builder.Direct ->
-                Packed.of_arena ?pool ?domains ?kernels
-                  (Builder.arena built.builder)
+                Packed.of_arena ?kernels (Builder.arena built.builder)
             | _ ->
                 invalid_arg
                   "Trace_circuit: circuit was built in Count_only mode")
@@ -143,31 +142,31 @@ let pack ?pool ?domains ?kernels built =
       built.packed <- Some p;
       p
 
-let simulate ?engine ?domains built m =
+let simulate ?engine built m =
   let inputs = encode_input built m in
   match built.circuit with
-  | Some c -> Engine.run ?engine ?domains built.cache c inputs
+  | Some c -> Engine.run ?engine built.cache c inputs
   | None -> (
       match engine with
       | Some Simulator.Reference ->
           Simulator.run (Packed.circuit (pack built)) inputs
-      | _ -> Packed.run ?domains (pack built) inputs)
+      | _ -> Packed.run (pack built) inputs)
 
-let run ?engine ?domains built m =
-  let r = simulate ?engine ?domains built m in
+let run ?engine built m =
+  let r = simulate ?engine built m in
   r.Simulator.outputs.(0)
 
-let run_batch ?domains built ms =
+let run_batch built ms =
   let batch = Array.map (encode_input built) ms in
   let br =
     match built.circuit with
-    | Some c -> Engine.run_batch ?domains built.cache c batch
-    | None -> Packed.run_batch ?domains (pack built) batch
+    | Some c -> Engine.run_batch built.cache c batch
+    | None -> Packed.run_batch (pack built) batch
   in
   Array.init (Array.length ms) (fun lane -> (Packed.batch_outputs br ~lane).(0))
 
-let trace_value ?engine ?domains built m =
-  let r = simulate ?engine ?domains built m in
+let trace_value ?engine built m =
+  let r = simulate ?engine built m in
   Repr.eval_signed (Simulator.value r) built.trace_repr
 
 let reference m = Matrix.trace (Matrix.pow m 3)

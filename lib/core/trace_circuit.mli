@@ -57,8 +57,7 @@ val build :
     faster construction.  [n] must equal [T^L] for the schedule's final
     level [L]. *)
 
-val pack :
-  ?pool:Packed.Pool.t -> ?domains:int -> ?kernels:bool -> built -> Packed.t
+val pack : ?kernels:bool -> built -> Packed.t
 (** The compiled evaluator form, memoized on [built]: the engine-cache
     compilation of [circuit] in [Materialize] mode, a direct
     {!Packed.of_arena} lowering in [Direct] mode.  Raises
@@ -85,14 +84,12 @@ val build_staged :
 val encode_input : built -> Tcmm_fastmm.Matrix.t -> bool array
 (** Input vector encoding [A]. *)
 
-val run :
-  ?engine:Simulator.engine -> ?domains:int -> built -> Tcmm_fastmm.Matrix.t -> bool
+val run : ?engine:Simulator.engine -> built -> Tcmm_fastmm.Matrix.t -> bool
 (** Simulate on [A]; works in [Materialize] and [Direct] modes (raises
     [Invalid_argument] in [Count_only]).  [engine] defaults to the
     packed evaluator, compiled once per [built] value. *)
 
-val run_batch :
-  ?domains:int -> built -> Tcmm_fastmm.Matrix.t array -> bool array
+val run_batch : built -> Tcmm_fastmm.Matrix.t array -> bool array
 (** Decide [trace(A^3) >= tau] for many matrices in one batched circuit
     traversal ({!Tcmm_threshold.Packed.run_batch}). *)
 
@@ -117,8 +114,7 @@ val build_with_value :
     {!Tcmm_arith.Binary.normalize} stages) on top of the threshold
     output, which is still present. *)
 
-val trace_value :
-  ?engine:Simulator.engine -> ?domains:int -> built -> Tcmm_fastmm.Matrix.t -> int
+val trace_value : ?engine:Simulator.engine -> built -> Tcmm_fastmm.Matrix.t -> int
 (** Simulate and evaluate {!field-trace_repr} — the exact [trace(A^3)]
     as the circuit internally represents it (test oracle access). *)
 

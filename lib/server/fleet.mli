@@ -88,8 +88,7 @@ val supervise : handle -> unit
 (** Fork the workers and run the supervision loop until a drain
     completes (SIGTERM or a control-plane [Shutdown]).  Installs
     SIGTERM/SIGPIPE handlers for the duration; closes the handle on
-    exit.  Must run in a process that has never spawned a domain
-    (OCaml 5 forbids [fork] after [Domain.spawn]). *)
+    exit. *)
 
 val run : config -> unit
 (** [supervise (bind cfg)] — what `tcmm serve --workers K` calls. *)

@@ -13,7 +13,6 @@ type config = {
   cache_capacity : int;
   flush_ms : float;
   max_lanes : int;
-  domains : int;
   templates : bool;
   kernels : bool;
   profile_build : bool;
@@ -28,7 +27,7 @@ type config = {
 }
 
 let default_config addr =
-  { addr; cache_capacity = 8; flush_ms = 0.; max_lanes = 62; domains = 1;
+  { addr; cache_capacity = 8; flush_ms = 0.; max_lanes = 62;
     templates = true; kernels = true; profile_build = false;
     profile_eval = false;
     max_pending = 0; deadline_ms = 0.; grace_s = 5.;
@@ -81,7 +80,6 @@ type state = {
   batcher : job Batcher.t;
   wheel : job Timer_wheel.t;
   metrics : Metrics.t;
-  pool : Th.Packed.Pool.t option;
   (* The dispatch loop is single-threaded, so one shared wire-value
      workspace is safe and amortizes the per-batch buffer allocation;
      replies are fully decoded inside [dispatch], before the next
@@ -176,8 +174,7 @@ let dispatch st ~key jobs =
       in
       let t0 = Clock.now () in
       (match
-         Th.Packed.run_batch ?pool:st.pool ?profile ~ws:st.ws first.packed
-           batch
+         Th.Packed.run_batch ?profile ~ws:st.ws first.packed batch
        with
       | br ->
           let t1 = Clock.now () in
@@ -789,10 +786,6 @@ let serve_fds cfg listen_fds =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let max_lanes = max 1 (min 62 cfg.max_lanes) in
-  let pool =
-    if cfg.domains > 1 then Some (Th.Packed.Pool.create ~domains:cfg.domains)
-    else None
-  in
   let started = Clock.now () in
   let store =
     match cfg.store with
@@ -816,7 +809,6 @@ let serve_fds cfg listen_fds =
       batcher = Batcher.create ~max_lanes ~flush_ms:cfg.flush_ms ();
       wheel = Timer_wheel.create ~now:started ();
       metrics = Metrics.create ~worker_id:cfg.worker_id ~max_lanes ();
-      pool;
       ws = Th.Packed.workspace ();
       profiles = Hashtbl.create 8;
       stopping = false;
@@ -839,12 +831,12 @@ let serve_fds cfg listen_fds =
   in
   Log.info (fun m ->
       m
-        "%slistening on %a (cache %d, lanes %d, flush %gms, domains %d, \
-         max_pending %d, deadline %gms%s)"
+        "%slistening on %a (cache %d, lanes %d, flush %gms, max_pending %d, \
+         deadline %gms%s)"
         (if cfg.worker_id > 0 then Printf.sprintf "worker %d " cfg.worker_id
          else "")
         P.pp_addr cfg.addr (max 1 cfg.cache_capacity) max_lanes cfg.flush_ms
-        cfg.domains cfg.max_pending cfg.deadline_ms
+        cfg.max_pending cfg.deadline_ms
         (if List.length listen_fds > 1 then
            Printf.sprintf ", %d listen sockets" (List.length listen_fds)
          else ""));
@@ -860,7 +852,6 @@ let serve_fds cfg listen_fds =
       (match cfg.addr with
       | P.Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
       | P.Tcp _ -> ());
-      Option.iter Th.Packed.Pool.shutdown pool;
       Log.info (fun m -> m "stopped"))
     (fun () -> loop st)
 

@@ -42,7 +42,6 @@ type config = {
   cache_capacity : int;  (** circuit-cache entries kept resident *)
   flush_ms : float;  (** batch flush deadline; [0.] = adaptive (see above) *)
   max_lanes : int;  (** lanes per batch, clamped to [1 .. 62] *)
-  domains : int;  (** level-parallel evaluation domains ([1] = sequential) *)
   templates : bool;
       (** build cache misses through the template-stamped [Direct] path
           (default); [false] restores the legacy builder *)
@@ -88,9 +87,9 @@ type config = {
 }
 
 val default_config : Protocol.addr -> config
-(** capacity 8, adaptive flush, 62 lanes, 1 domain, templates and
-    kernels on, profiling off, no pending cap, no deadline, 5 s grace,
-    64 MiB backlog cap, no artifact store, worker id 0, 16 sessions. *)
+(** capacity 8, adaptive flush, 62 lanes, templates and kernels on,
+    profiling off, no pending cap, no deadline, 5 s grace, 64 MiB
+    backlog cap, no artifact store, worker id 0, 16 sessions. *)
 
 val bind : config -> Unix.file_descr * Protocol.addr
 (** Create, bind and listen the server socket without serving.  The

@@ -11,7 +11,7 @@ type summary = {
    a few words' worth bounds the transient per-wire word storage. *)
 let batch_chunk = 248
 
-let measure ?(engine = Simulator.Packed) ?domains c inputs =
+let measure ?(engine = Simulator.Packed) c inputs =
   if inputs = [] then invalid_arg "Energy.measure: no inputs";
   let total = ref 0 and mn = ref max_int and mx = ref 0 and n = ref 0 in
   let lf_total = ref [||] in
@@ -39,7 +39,7 @@ let measure ?(engine = Simulator.Packed) ?domains c inputs =
       let pos = ref 0 in
       while !pos < len do
         let b = min batch_chunk (len - !pos) in
-        let br = Packed.run_batch ?domains p (Array.sub arr !pos b) in
+        let br = Packed.run_batch p (Array.sub arr !pos b) in
         for lane = 0 to b - 1 do
           record
             ~firings:(Packed.batch_firings br ~lane)

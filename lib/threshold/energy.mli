@@ -16,8 +16,7 @@ type summary = {
           [d + 1]); sums to [mean_firings] *)
 }
 
-val measure :
-  ?engine:Simulator.engine -> ?domains:int -> Circuit.t -> bool array list -> summary
+val measure : ?engine:Simulator.engine -> Circuit.t -> bool array list -> summary
 (** [measure c inputs] simulates [c] on each input vector and aggregates
     firing counts.  With the default {!Simulator.Packed} engine the
     inputs are evaluated in batched traversals

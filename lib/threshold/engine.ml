@@ -14,10 +14,10 @@ let packed cache c =
 
 let stats = Tcmm_util.Lru.stats
 
-let run ?check ?(engine = Simulator.Packed) ?pool ?domains cache c inputs =
+let run ?check ?(engine = Simulator.Packed) cache c inputs =
   match engine with
   | Simulator.Reference -> Simulator.run ?check c inputs
-  | Simulator.Packed -> Packed.run ?check ?pool ?domains (packed cache c) inputs
+  | Simulator.Packed -> Packed.run ?check (packed cache c) inputs
 
-let run_batch ?check ?pool ?domains cache c batch =
-  Packed.run_batch ?check ?pool ?domains (packed cache c) batch
+let run_batch ?check cache c batch =
+  Packed.run_batch ?check (packed cache c) batch

@@ -36,23 +36,14 @@ val stats : cache -> Tcmm_util.Lru.stats
 val run :
   ?check:bool ->
   ?engine:Simulator.engine ->
-  ?pool:Packed.Pool.t ->
-  ?domains:int ->
   cache ->
   Circuit.t ->
   bool array ->
   Simulator.result
 (** Evaluate one input vector with the chosen engine (default
-    {!Simulator.Packed}, sequential).  [pool] / [domains] only apply to
-    the packed engine. *)
+    {!Simulator.Packed}). *)
 
 val run_batch :
-  ?check:bool ->
-  ?pool:Packed.Pool.t ->
-  ?domains:int ->
-  cache ->
-  Circuit.t ->
-  bool array array ->
-  Packed.batch_result
+  ?check:bool -> cache -> Circuit.t -> bool array array -> Packed.batch_result
 (** Batched evaluation (always the packed engine — the reference
     interpreter has no batched mode). *)

@@ -97,8 +97,8 @@ type t = {
   grp_weight : int array;
   (* Segments grouped by level: segments [level_segs.(l), level_segs.(l+1))
      hold exactly the gates of depth l+1.  Gates within a level are
-     mutually independent, which is what the parallel and batched
-     evaluators exploit. *)
+     mutually independent, which is what the batched evaluator
+     exploits. *)
   level_segs : int array;  (* length levels + 1 *)
   (* Per packed gate (level-major order; thresholds ascend within each
      segment so the firing gates of a segment are a prefix). *)
@@ -303,139 +303,6 @@ let coverage t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Domain pool                                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Pool = struct
-  type pool = {
-    size : int;
-    mutable task : int -> unit;
-    mutable nchunks : int;
-    next : int Atomic.t;
-    mutable done_workers : int;
-    mutable epoch : int;
-    mutable stop : bool;
-    m : Mutex.t;
-    work_cv : Condition.t;
-    done_cv : Condition.t;
-    mutable err : exn option;
-    mutable handles : unit Domain.t list;
-  }
-
-  type t = pool
-
-  let size t = t.size
-
-  (* Claim and run chunks until the current job is drained.  The first
-     exception (e.g. a [Checked.Overflow] from a checked evaluation) is
-     parked in [err] and re-raised by the caller after the barrier. *)
-  let drain t =
-    let rec loop () =
-      let i = Atomic.fetch_and_add t.next 1 in
-      if i < t.nchunks then begin
-        (try t.task i
-         with e ->
-           Mutex.lock t.m;
-           if t.err = None then t.err <- Some e;
-           Mutex.unlock t.m);
-        loop ()
-      end
-    in
-    loop ()
-
-  let worker t () =
-    let my_epoch = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock t.m;
-      while (not t.stop) && t.epoch = !my_epoch do
-        Condition.wait t.work_cv t.m
-      done;
-      if t.stop then begin
-        Mutex.unlock t.m;
-        running := false
-      end
-      else begin
-        my_epoch := t.epoch;
-        Mutex.unlock t.m;
-        drain t;
-        Mutex.lock t.m;
-        t.done_workers <- t.done_workers + 1;
-        if t.done_workers = t.size then Condition.signal t.done_cv;
-        Mutex.unlock t.m
-      end
-    done
-
-  let create ~domains =
-    if domains < 1 then invalid_arg "Packed.Pool.create: domains must be >= 1";
-    let t =
-      {
-        size = domains;
-        task = ignore;
-        nchunks = 0;
-        next = Atomic.make 0;
-        done_workers = 0;
-        epoch = 0;
-        stop = false;
-        m = Mutex.create ();
-        work_cv = Condition.create ();
-        done_cv = Condition.create ();
-        err = None;
-        handles = [];
-      }
-    in
-    t.handles <- List.init (domains - 1) (fun _ -> Domain.spawn (worker t));
-    t
-
-  (* Run [task 0 .. task (chunks-1)] across the pool; returns when every
-     chunk has finished (level barrier).  Not reentrant. *)
-  let run t ~chunks task =
-    if chunks < 0 then invalid_arg "Packed.Pool.run: negative chunk count";
-    if chunks = 0 then ()
-    else if t.size = 1 then
-      for i = 0 to chunks - 1 do
-        task i
-      done
-    else begin
-      Mutex.lock t.m;
-      t.task <- task;
-      t.nchunks <- chunks;
-      Atomic.set t.next 0;
-      t.done_workers <- 0;
-      t.err <- None;
-      t.epoch <- t.epoch + 1;
-      Condition.broadcast t.work_cv;
-      Mutex.unlock t.m;
-      drain t;
-      Mutex.lock t.m;
-      t.done_workers <- t.done_workers + 1;
-      while t.done_workers < t.size do
-        Condition.wait t.done_cv t.m
-      done;
-      let err = t.err in
-      t.err <- None;
-      t.task <- ignore;
-      Mutex.unlock t.m;
-      match err with Some e -> raise e | None -> ()
-    end
-
-  let shutdown t =
-    Mutex.lock t.m;
-    t.stop <- true;
-    Condition.broadcast t.work_cv;
-    Mutex.unlock t.m;
-    List.iter Domain.join t.handles;
-    t.handles <- []
-
-  let with_pool ~domains f =
-    let t = create ~domains in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-end
-
-let chunk_bounds lo nseg nchunks i =
-  (lo + (i * nseg / nchunks), lo + ((i + 1) * nseg / nchunks))
-
-(* ------------------------------------------------------------------ *)
 (* Direct lowering from a builder arena                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -447,20 +314,6 @@ let chunk_bounds lo nseg nchunks i =
    arithmetic.  Items appear in construction order and wire ids grow
    monotonically with it, so appending each segment to its level
    reproduces exactly the stable level-major order of [of_circuit]. *)
-
-let dummy_pseg =
-  {
-    Template.q_gate0 = 0;
-    q_count = 0;
-    q_fan = 0;
-    q_refs = [||];
-    q_weights = [||];
-    q_grp_start = [||];
-    q_grp_weight = [||];
-    q_th = [||];
-    q_th_gate = [||];
-    q_kernel = Kernel.Generic;
-  }
 
 (* Materialize the gate array of an arena (only reached through the lazy
    [circuit] field; the packed evaluators never need it). *)
@@ -495,7 +348,7 @@ let gates_of_arena (a : Builder.arena) =
     a.Builder.a_items;
   if ng = 0 then [||] else gates
 
-let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
+let of_arena ?(kernels = true) (a : Builder.arena) =
   let num_inputs = a.Builder.a_num_inputs in
   let ng = a.Builder.a_num_gates in
   let num_wires = a.Builder.a_num_wires in
@@ -559,12 +412,46 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
   let g_wire = ba32_create ng in
   let kern = if kernels then Array.make (max nsegs 1) Kernel.Generic else [||] in
   let k_gates = ref 0 and k_segs = ref 0 in
-  let src_ps = Array.make (max nsegs 1) dummy_pseg in
-  let src_w0 = Array.make (max nsegs 1) 0 in
-  let src_slots = Array.make (max nsegs 1) [||] in
+  (* Resolve segment [ps]'s refs into the edge pool at [e] and blit its
+     thresholds at packed gate [p]. *)
+  let fill_seg (ps : Template.pseg) ~w0 ~slots ~e ~p =
+    let refs = ps.Template.q_refs in
+    for i = 0 to ps.Template.q_fan - 1 do
+      let r = Array.unsafe_get refs i in
+      wset pool_wires (e + i)
+        (if r >= 0 then w0 + r else Array.unsafe_get slots (-r - 1))
+    done;
+    (* Kernel-grade CSR: sort each sizable weight group's edges by wire
+       id.  Within a group every edge carries the same weight, so any
+       order computes the same sums (checked evaluation simply follows
+       the sorted order), and the truth-table kernels are invariant
+       under permuting equal-weight positions.  The paper's wide shared
+       layers gather thousands of scattered wires per segment; the
+       batched fold is memory-latency-bound on those reads, and a
+       monotone scan turns them into cache-line-coalesced sweeps. *)
+    (if kernels then
+       let gs = ps.Template.q_grp_start in
+       let ngr = Array.length gs in
+       for g = 0 to ngr - 1 do
+         let a0 = e + gs.(g) in
+         let a1 = if g + 1 < ngr then e + gs.(g + 1) else e + ps.Template.q_fan in
+         let len = a1 - a0 in
+         if len >= 16 then begin
+           let tmp = Array.init len (fun i -> wget pool_wires (a0 + i)) in
+           Array.sort (fun (x : int) y -> compare x y) tmp;
+           for i = 0 to len - 1 do
+             wset pool_wires (a0 + i) tmp.(i)
+           done
+         end
+       done);
+    let th = ps.Template.q_th and thg = ps.Template.q_th_gate in
+    for i = 0 to ps.Template.q_count - 1 do
+      bset g_threshold (p + i) (Array.unsafe_get th i);
+      wset g_wire (p + i) (w0 + Array.unsafe_get thg i)
+    done
+  in
   (* Pass 1: walk items in construction order, assigning each segment
-     its slot in the level-major layout and filling every per-segment
-     array that pass 2's parallel fill indexes into. *)
+     its slot in the level-major layout and filling it. *)
   let seg_cursor = Array.copy level_segs in
   let gate_cursor = Array.copy lvl_gate0 in
   let grp_cursor = Array.copy lvl_grp0 in
@@ -602,72 +489,12 @@ let of_arena ?pool ?(domains = 1) ?(kernels = true) (a : Builder.arena) =
                  kern.(s) <- spec;
                  k_gates := !k_gates + ps.Template.q_count;
                  incr k_segs);
-          src_ps.(s) <- ps;
-          src_w0.(s) <- w0;
-          src_slots.(s) <- slots)
+          fill_seg ps ~w0 ~slots ~e ~p)
         psegs)
     item_psegs;
   seg_gates.(nsegs) <- ng;
   seg_grp.(nsegs) <- ngroups;
   grp_off.(ngroups) <- nedges;
-  (* Pass 2: resolve refs into the edge pools and blit thresholds —
-     independent per segment, so it fans out across the domain pool. *)
-  let fill_seg s =
-    let ps = src_ps.(s) in
-    let w0 = src_w0.(s) and slots = src_slots.(s) in
-    let e = seg_off.(s) in
-    let refs = ps.Template.q_refs in
-    for i = 0 to ps.Template.q_fan - 1 do
-      let r = Array.unsafe_get refs i in
-      wset pool_wires (e + i)
-        (if r >= 0 then w0 + r else Array.unsafe_get slots (-r - 1))
-    done;
-    (* Kernel-grade CSR: sort each sizable weight group's edges by wire
-       id.  Within a group every edge carries the same weight, so any
-       order computes the same sums (checked evaluation simply follows
-       the sorted order), and the truth-table kernels are invariant
-       under permuting equal-weight positions.  The paper's wide shared
-       layers gather thousands of scattered wires per segment; the
-       batched fold is memory-latency-bound on those reads, and a
-       monotone scan turns them into cache-line-coalesced sweeps. *)
-    (if kernels then
-       let gs = ps.Template.q_grp_start in
-       let ngr = Array.length gs in
-       for g = 0 to ngr - 1 do
-         let a0 = e + gs.(g) in
-         let a1 = if g + 1 < ngr then e + gs.(g + 1) else e + ps.Template.q_fan in
-         let len = a1 - a0 in
-         if len >= 16 then begin
-           let tmp = Array.init len (fun i -> wget pool_wires (a0 + i)) in
-           Array.sort (fun (x : int) y -> compare x y) tmp;
-           for i = 0 to len - 1 do
-             wset pool_wires (a0 + i) tmp.(i)
-           done
-         end
-       done);
-    let p = seg_gates.(s) in
-    let th = ps.Template.q_th and thg = ps.Template.q_th_gate in
-    for i = 0 to ps.Template.q_count - 1 do
-      bset g_threshold (p + i) (Array.unsafe_get th i);
-      wset g_wire (p + i) (w0 + Array.unsafe_get thg i)
-    done
-  in
-  let run_fill pl =
-    let nchunks = min (max nsegs 1) (8 * Pool.size pl) in
-    Pool.run pl ~chunks:nchunks (fun i ->
-        let a, b = chunk_bounds 0 nsegs nchunks i in
-        for s = a to b - 1 do
-          fill_seg s
-        done)
-  in
-  (match pool with
-  | Some p -> run_fill p
-  | None ->
-      if domains <= 1 then
-        for s = 0 to nsegs - 1 do
-          fill_seg s
-        done
-      else Pool.with_pool ~domains run_fill);
   {
     circuit =
       lazy
@@ -758,28 +585,6 @@ let eval_segs ~check t values lo hi =
   done;
   !fired
 
-(* Level [l]'s firing count; under a pool of several domains its
-   segments fan out in chunks. *)
-let eval_level ~check t values pool l =
-  let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
-  let nseg = hi - lo in
-  match pool with
-  | Some pool when Pool.size pool > 1 && nseg > 1 ->
-      let nchunks = min nseg (4 * Pool.size pool) in
-      let partial = Array.make nchunks 0 in
-      Pool.run pool ~chunks:nchunks (fun i ->
-          let a, b = chunk_bounds lo nseg nchunks i in
-          partial.(i) <- eval_segs ~check t values a b);
-      Array.fold_left ( + ) 0 partial
-  | _ -> eval_segs ~check t values lo hi
-
-let with_domains ?pool ~domains f =
-  match pool with
-  | Some p -> f (Some p)
-  | None ->
-      if domains <= 1 then f None
-      else Pool.with_pool ~domains (fun p -> f (Some p))
-
 let check_width name t inputs =
   if Array.length inputs <> t.num_inputs then
     invalid_arg
@@ -794,22 +599,22 @@ let load_inputs t values inputs =
 (* The scalar level walk behind [run] and one-lane [run_batch]: each
    level runs under [timed l] and its firing count lands in the returned
    array. *)
-let walk_levels ~check ~timed t values pool =
+let walk_levels ~check ~timed t values =
   let level_firings = Array.make t.levels 0 in
   for l = 0 to t.levels - 1 do
-    timed l (fun () -> level_firings.(l) <- eval_level ~check t values pool l)
+    timed l (fun () ->
+        level_firings.(l) <-
+          eval_segs ~check t values t.level_segs.(l) t.level_segs.(l + 1))
   done;
   level_firings
 
 let untimed _ f = f ()
 
-let run ?(check = false) ?pool ?(domains = 1) t inputs =
+let run ?(check = false) t inputs =
   check_width "run" t inputs;
   let values = Bytes.create t.num_wires in
   load_inputs t values inputs;
-  let level_firings =
-    with_domains ?pool ~domains (walk_levels ~check ~timed:untimed t values)
-  in
+  let level_firings = walk_levels ~check ~timed:untimed t values in
   {
     Simulator.values;
     outputs = Array.map (fun w -> Bytes.unsafe_get values w <> '\000') t.outputs;
@@ -1162,12 +967,11 @@ let csa_cutoff = 16
    [log2 max_fan] bits; 62 is a safe ceiling (group sizes are < 2^62). *)
 let csa_bits = 62
 
-(* Per-evaluator scratch, allocated once per [run_batch] (per chunk
-   slot under a pool) and reused across every level — the level loop
-   itself is allocation-free.  The [wordc]-scaled areas are sliced per
-   lane word ([wd * ctz_slots], [wd * csa_bits]); [sc_cnt] is kept
-   all-zero between segments (both writers re-zero exactly the slots
-   they rippled into). *)
+(* Per-evaluator scratch, allocated once per [run_batch] and reused
+   across every level — the level loop itself is allocation-free.  The
+   [wordc]-scaled areas are sliced per lane word ([wd * ctz_slots],
+   [wd * csa_bits]); [sc_cnt] is kept all-zero between segments (both
+   writers re-zero exactly the slots they rippled into). *)
 type scratch = {
   sc_accs : int array;  (* wordc * ctz_slots: per-lane sums by hash slot *)
   sc_cnt : int array;  (* wordc * csa_bits: bit-sliced per-lane counters *)
@@ -1801,10 +1605,9 @@ let workspace () = { w_vals = [||]; w_bytes = Bytes.empty }
 
 (* Two or more lanes: one traversal of the circuit metadata for the
    whole batch, levels outer, lane words handled inside each segment.
-   Under a pool the chunks split segments (as for single-vector runs);
-   per-chunk scratch and firing buffers are preallocated once, so every
-   level runs allocation-free. *)
-let run_words ~check ~timed t ws inputs pool =
+   Scratch and firing buffers are preallocated once, so every level runs
+   allocation-free. *)
+let run_words ~check ~timed t ws inputs =
   let lanes = Array.length inputs in
   let wordc = (lanes + word_lanes - 1) / word_lanes in
   let nv = t.num_wires * wordc in
@@ -1828,57 +1631,24 @@ let run_words ~check ~timed t ws inputs pool =
     done
   done;
   let lf = Array.init lanes (fun _ -> Array.make t.levels 0) in
-  let record l fires =
-    for ln = 0 to lanes - 1 do
-      let f = Array.unsafe_get fires ln in
-      if f <> 0 then lf.(ln).(l) <- lf.(ln).(l) + f
-    done
-  in
-  (match pool with
-  | Some pool when Pool.size pool > 1 ->
-      let maxchunks = 4 * Pool.size pool in
-      let scs = Array.init maxchunks (fun _ -> make_scratch t ~wordc) in
-      let partial = Array.init maxchunks (fun _ -> Array.make lanes 0) in
-      for l = 0 to t.levels - 1 do
-        timed l (fun () ->
-            let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
-            let nseg = hi - lo in
-            if nseg = 1 then begin
-              let f = partial.(0) in
-              Array.fill f 0 lanes 0;
-              eval_batch_segs ~check t scs.(0) vals ~wordc ~lanes ~fires:f lo hi;
-              record l f
-            end
-            else if nseg > 0 then begin
-              let nchunks = min nseg maxchunks in
-              Pool.run pool ~chunks:nchunks (fun i ->
-                  let a, b = chunk_bounds lo nseg nchunks i in
-                  let f = partial.(i) in
-                  Array.fill f 0 lanes 0;
-                  eval_batch_segs ~check t scs.(i) vals ~wordc ~lanes ~fires:f
-                    a b);
-              for i = 0 to nchunks - 1 do
-                record l partial.(i)
-              done
-            end)
-      done
-  | _ ->
-      let sc = make_scratch t ~wordc in
-      let fires = Array.make lanes 0 in
-      for l = 0 to t.levels - 1 do
-        timed l (fun () ->
-            let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
-            if hi > lo then begin
-              Array.fill fires 0 lanes 0;
-              eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi;
-              record l fires
-            end)
-      done);
+  let sc = make_scratch t ~wordc in
+  let fires = Array.make lanes 0 in
+  for l = 0 to t.levels - 1 do
+    timed l (fun () ->
+        let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
+        if hi > lo then begin
+          Array.fill fires 0 lanes 0;
+          eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi;
+          for ln = 0 to lanes - 1 do
+            lf.(ln).(l) <- Array.unsafe_get fires ln
+          done
+        end)
+  done;
   (Words { wordc; vals }, lf)
 
 (* One lane: a lone request would leave 61 of a word's 62 lanes empty,
    so it takes the scalar walk [run] uses instead of the kernels. *)
-let run_lane ~check ~timed t ws input pool =
+let run_lane ~check ~timed t ws input =
   let nw = t.num_wires in
   let values =
     match ws with
@@ -1890,7 +1660,7 @@ let run_lane ~check ~timed t ws input pool =
     | None -> Bytes.create nw
   in
   load_inputs t values input;
-  (Wire_bytes values, [| walk_levels ~check ~timed t values pool |])
+  (Wire_bytes values, [| walk_levels ~check ~timed t values |])
 
 let lane_value values ~lane w =
   match values with
@@ -1900,7 +1670,7 @@ let lane_value values ~lane w =
       = 1
   | Wire_bytes b -> Bytes.get b w <> '\000'
 
-let run_batch ?(check = false) ?pool ?(domains = 1) ?profile ?ws t inputs =
+let run_batch ?(check = false) ?profile ?ws t inputs =
   let lanes = Array.length inputs in
   if lanes = 0 then invalid_arg "Packed.run_batch: empty batch";
   Array.iter (check_width "run_batch" t) inputs;
@@ -1915,9 +1685,8 @@ let run_batch ?(check = false) ?pool ?(domains = 1) ?profile ?ws t inputs =
             p.ep_level_ns.(l) +. ((Tcmm_util.Clock.now () -. t0) *. 1e9)
   in
   let b_values, lf =
-    with_domains ?pool ~domains (fun pool ->
-        if lanes = 1 then run_lane ~check ~timed t ws inputs.(0) pool
-        else run_words ~check ~timed t ws inputs pool)
+    if lanes = 1 then run_lane ~check ~timed t ws inputs.(0)
+    else run_words ~check ~timed t ws inputs
   in
   (match profile with
   | None -> ()

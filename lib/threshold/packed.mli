@@ -9,7 +9,8 @@
       split into depth levels whose members are mutually independent.
       The evaluator walks level by level — the schedule a
       level-synchronous parallel machine (or a spiking chip) would use —
-      which enables the multicore evaluator below.
+      which lets the batched evaluator below sweep a whole level per
+      traversal.
     - {b Shared sums}: {!Builder.add_shared_gates} emits layers of gates
       that differ only in their threshold (Lemma 3.1's [2^k]-gate
       layers) and physically share one input/weight array.  Consecutive
@@ -51,38 +52,14 @@ val pool_edges : t -> int
 (** Size of the deduped edge pool — the per-vector edge work, as opposed
     to [Stats.edges] which counts logical edges. *)
 
-(** A fixed pool of OCaml 5 domains for level-synchronous evaluation.
-    [create ~domains] spawns [domains - 1] workers; the calling domain
-    participates too, so [domains] is the total parallelism.  Each level
-    is split into chunks of segments claimed via an atomic counter, with
-    a barrier between levels.  Exceptions raised by a chunk (e.g.
-    [Tcmm_util.Checked.Overflow] under [~check:true]) are re-raised in
-    the caller after the barrier. *)
-module Pool : sig
-  type t
-
-  val create : domains:int -> t
-  (** Raises [Invalid_argument] when [domains < 1]. *)
-
-  val size : t -> int
-  val shutdown : t -> unit
-  (** Joins the worker domains.  The pool must not be used afterwards. *)
-
-  val with_pool : domains:int -> (t -> 'a) -> 'a
-  (** [create], run, then [shutdown] (also on exceptions). *)
-end
-
-val of_arena :
-  ?pool:Pool.t -> ?domains:int -> ?kernels:bool -> Builder.arena -> t
+val of_arena : ?kernels:bool -> Builder.arena -> t
 (** Lower a [Builder Direct]-mode arena straight to the packed form,
     skipping the per-gate [Circuit.t] walk of {!of_circuit}: template
     instances replay their precomputed lowering plans by offset
     arithmetic, so the cost is proportional to the {i pooled} edge
     count, not the logical one.  The result is identical to
-    [of_circuit] applied to the materialized circuit.  With [?pool] (or
-    [?domains] > 1) the edge-pool fill fans out across the domain
-    pool.  Raises [Invalid_argument], like {!of_circuit}, past [2^31]
-    wires.
+    [of_circuit] applied to the materialized circuit.  Raises
+    [Invalid_argument], like {!of_circuit}, past [2^31] wires.
 
     [kernels] (default [true]) dispatches each template segment to its
     specialized batch evaluator ({!Kernel.compile}); [~kernels:false]
@@ -103,17 +80,13 @@ type coverage = {
 
 val coverage : t -> coverage
 
-val run :
-  ?check:bool -> ?pool:Pool.t -> ?domains:int -> t -> bool array -> Simulator.result
+val run : ?check:bool -> t -> bool array -> Simulator.result
 (** [run t inputs] evaluates one input vector by the scalar level walk:
     one byte per wire, and each segment's sum taken one weight group at
     a time (a branch-free count of the group's set wires, then one
     multiply by its weight).  [check] (default [false]) instead adds
-    edge by edge with overflow checking.  With [?pool] (or
-    [?domains] > 1, which spins up a transient pool) levels are
-    evaluated in parallel; [~domains:1] (the default) is a tight
-    sequential loop.  The result is bit-identical to
-    [Simulator.run (circuit t) inputs] in every field. *)
+    edge by edge with overflow checking.  The result is bit-identical
+    to [Simulator.run (circuit t) inputs] in every field. *)
 
 (** {1 Incremental evaluation}
 
@@ -225,8 +198,6 @@ val workspace : unit -> workspace
 
 val run_batch :
   ?check:bool ->
-  ?pool:Pool.t ->
-  ?domains:int ->
   ?profile:eval_profile ->
   ?ws:workspace ->
   t ->
@@ -235,9 +206,9 @@ val run_batch :
 (** [run_batch t inputs] evaluates every vector of [inputs] (one lane
     each).  Two or more lanes go through the 62-lane kernels; a single
     lane goes through {!run}'s scalar level walk, writing into the
-    workspace's byte buffer.  [check], [pool], [domains] and [profile]
-    mean the same on both routes: [profile] counts one batch and its
-    lanes and adds each level's wall time.  Raises [Invalid_argument]
+    workspace's byte buffer.  [check] and [profile] mean the same on
+    both routes: [profile] counts one batch and its lanes and adds each
+    level's wall time.  Raises [Invalid_argument]
     on an empty batch or a wrongly-sized input vector. *)
 
 val lanes : batch_result -> int

@@ -432,12 +432,29 @@ let test_server_fuzz_smoke () =
       Alcotest.fail
         (Format.asprintf "%a: %s" Ck.Case.pp f.Ck.Fuzz.case f.Ck.Fuzz.message)
 
+(* The in-process oracle, then a forked loopback server, in one
+   process: nothing the oracle runs may leave the process unable to
+   fork. *)
+let test_serve_after_oracle () =
+  let trace = sample_case in
+  let matmul =
+    { sample_case with Ck.Case.kind = Ck.Case.Matmul; signed = false; tau = 0 }
+  in
+  List.iter
+    (fun c ->
+      match Ck.Oracle.check c with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail (Format.asprintf "%a: %s" Ck.Case.pp c msg))
+    [ trace; matmul ];
+  match
+    Ck.Harness.with_loopback_server (fun cl -> Ck.Fuzz.check_server cl matmul)
+  with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("served request: " ^ msg)
+
 let () =
   Alcotest.run "tcmm_check"
     [
-      (* The server suite comes first: it forks, and OCaml forbids
-         Unix.fork once any later test has spawned a domain (the
-         oracle's multi-domain leg does). *)
       ( "server",
         [ Alcotest.test_case "loopback fuzz smoke" `Slow test_server_fuzz_smoke ] );
       ( "case",
@@ -480,5 +497,10 @@ let () =
           Alcotest.test_case "kronpow oracle legs" `Slow test_kronpow_oracle;
           prop_kronpow_pinned_fuzz;
           Alcotest.test_case "shrink requires failure" `Quick test_shrink_requires_failure;
+        ] );
+      ( "fork",
+        [
+          Alcotest.test_case "loopback server after the oracle" `Slow
+            test_serve_after_oracle;
         ] );
     ]

@@ -443,8 +443,6 @@ let test_served_conv_rejects_oversized () =
 let () =
   Alcotest.run "tcmm_convnet"
     [
-      (* The served suite comes first: it forks, and OCaml forbids
-         Unix.fork once any other test has spawned a domain. *)
       ( "served",
         [
           Alcotest.test_case "conv bit-identical" `Slow

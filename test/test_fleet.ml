@@ -2,8 +2,7 @@
 
    The process-level tests fork a real Fleet supervisor (which forks
    its workers) over loopback TCP using the bind-then-fork pattern:
-   every port is concrete before the child exists.  Nothing in this
-   binary spawns a domain, so forking is safe throughout.  The router
+   every port is concrete before the child exists.  The router
    properties are pure QCheck2. *)
 
 module P = Tcmm_server.Protocol

@@ -1,10 +1,5 @@
 (* The artifact store: round-trip identity, corruption robustness,
-   concurrent-writer atomicity, and the CRC-64 primitive underneath.
-
-   The fork-based race test MUST run first and nothing in this binary
-   may spawn domains: OCaml forbids [Unix.fork] after [Domain.spawn],
-   so every packed evaluation here stays on the default sequential
-   path. *)
+   concurrent-writer atomicity, and the CRC-64 primitive underneath. *)
 
 module T = Tcmm
 module F = Tcmm_fastmm
@@ -740,7 +735,6 @@ let test_section_flips_detected =
 let () =
   Alcotest.run "store"
     [
-      (* Fork-based tests first: no domain may have been spawned yet. *)
       ( "concurrency",
         [
           Alcotest.test_case "four workers, one store dir" `Quick

@@ -802,15 +802,6 @@ let prop_packed_matches_reference =
       && Array.fold_left ( + ) 0 r_seq.Simulator.level_firings
          = r_seq.Simulator.firings)
 
-let prop_packed_parallel_matches_reference =
-  S.qcheck_case ~count:30 "parallel run = reference run (exactly)"
-    QCheck2.Gen.(int_range 0 1000000)
-    (fun seed ->
-      let c, input, _ = random_packed_circuit seed in
-      let r_ref = Simulator.run c input in
-      let r_par = Packed.run ~domains:3 (Packed.of_circuit c) input in
-      same_result r_ref r_par)
-
 let prop_packed_batch_matches_reference =
   S.qcheck_case ~count:60 "batched lanes = reference runs (exactly)"
     QCheck2.Gen.(int_range 0 1000000)
@@ -1082,7 +1073,6 @@ let test_packed_overflow_all_engines () =
   in
   traps "reference" (fun () -> Simulator.run ~check:true c input);
   traps "packed seq" (fun () -> Packed.run ~check:true p input);
-  traps "packed par" (fun () -> Packed.run ~check:true ~domains:3 p input);
   traps "packed batch" (fun () ->
       Packed.run_batch ~check:true p [| input; input |]);
   traps "packed one-lane batch" (fun () ->
@@ -1333,7 +1323,6 @@ let () =
           Alcotest.test_case "engine cache alternation" `Quick
             test_engine_cache_alternation;
           prop_packed_matches_reference;
-          prop_packed_parallel_matches_reference;
           prop_packed_batch_matches_reference;
           Alcotest.test_case "session delta validation" `Quick
             test_packed_session_rejects_bad_delta;
