@@ -41,10 +41,16 @@ let header title =
 
 type json = Int of int | Float of float | Str of string | Bool of bool
 
-let json_records : (string * (string * json) list) list ref = ref []
+(* Set while a [-smoke] variant runs.  Its records are a CI subset of
+   the full experiment's, under the same experiment name, so they go to
+   a git-ignored [BENCH_*.smoke.json] beside the committed full-run
+   file instead of overwriting it. *)
+let smoke = ref false
+
+let json_records : (bool * string * (string * json) list) list ref = ref []
 
 let record ~experiment fields =
-  json_records := (experiment, fields) :: !json_records
+  json_records := (!smoke, experiment, fields) :: !json_records
 
 let json_escape s =
   let buf = Buffer.create (String.length s) in
@@ -68,11 +74,7 @@ let json_value buf = function
   | Str s -> Buffer.add_string buf (Printf.sprintf "\"%s\"" (json_escape s))
   | Bool b -> Buffer.add_string buf (string_of_bool b)
 
-(* Writes the records collected so far whose experiment name satisfies
-   [only] (no-op when none match) — the server bench lands in its own
-   BENCH_server.json, everything else in BENCH_simulator.json. *)
-let write_json ?(only = fun _ -> true) path =
-  match List.rev (List.filter (fun (e, _) -> only e) !json_records) with
+let write_records path = function
   | [] -> ()
   | records ->
       let buf = Buffer.create 4096 in
@@ -94,3 +96,16 @@ let write_json ?(only = fun _ -> true) path =
       output_string oc (Buffer.contents buf);
       close_out oc;
       Printf.printf "\nwrote %s (%d records)\n%!" path (List.length records)
+
+(* Writes the records collected so far whose experiment name satisfies
+   [only] (no-op when none match): full-run records to [path], smoke
+   records to [path] with [.smoke.json] for its extension. *)
+let write_json ?(only = fun _ -> true) path =
+  let pick smoke =
+    List.rev
+      (List.filter_map
+         (fun (s, e, fields) -> if s = smoke && only e then Some (e, fields) else None)
+         !json_records)
+  in
+  write_records path (pick false);
+  write_records (Filename.remove_extension path ^ ".smoke.json") (pick true)

@@ -1448,6 +1448,8 @@ let all_experiments =
           () );
   ]
 
+let is_smoke = String.ends_with ~suffix:"-smoke"
+
 let () =
   let requested =
     match Array.to_list Sys.argv with
@@ -1455,16 +1457,13 @@ let () =
     | _ ->
         (* The -smoke variants are CI subsets; a full run does the real
            experiments only. *)
-        List.filter
-          (fun e ->
-            e <> "e20-smoke" && e <> "e23-smoke" && e <> "e24-smoke"
-            && e <> "e25-smoke" && e <> "e26-smoke" && e <> "e27-smoke")
-          (List.map fst all_experiments)
+        List.filter (fun e -> not (is_smoke e)) (List.map fst all_experiments)
   in
   List.iter
     (fun name ->
       match List.assoc_opt name all_experiments with
       | Some f ->
+          Bench_util.smoke := is_smoke name;
           f ();
           (* Large count-only builds leave big heaps behind; return the
              memory before the next experiment. *)

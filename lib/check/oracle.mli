@@ -9,7 +9,9 @@
     - plain integer arithmetic ({!Tcmm.Trace_circuit.reference} /
       {!Tcmm_fastmm.Matrix.mul}) — the ground truth;
     - the gate-at-a-time reference interpreter ({!Tcmm_threshold.Simulator},
-      overflow-checked);
+      through the drivers' [Reference] engine, which runs it unchecked:
+      a case passes only if its circuit also packs, and packing proves
+      that no sum can wrap);
     - the packed levelized engine ({!Tcmm_threshold.Packed.run});
     - {!Tcmm_threshold.Packed.run_batch} with several lanes (the case's
       matrix plus further deterministic draws);

@@ -14,10 +14,9 @@ let packed cache c =
 
 let stats = Tcmm_util.Lru.stats
 
-let run ?check ?(engine = Simulator.Packed) cache c inputs =
+let run ?(engine = Simulator.Packed) cache c inputs =
   match engine with
-  | Simulator.Reference -> Simulator.run ?check c inputs
-  | Simulator.Packed -> Packed.run ?check (packed cache c) inputs
+  | Simulator.Reference -> Simulator.run c inputs
+  | Simulator.Packed -> Packed.run (packed cache c) inputs
 
-let run_batch ?check cache c batch =
-  Packed.run_batch ?check (packed cache c) batch
+let run_batch cache c batch = Packed.run_batch (packed cache c) batch

@@ -34,16 +34,13 @@ val stats : cache -> Tcmm_util.Lru.stats
     alternation regression tests read these. *)
 
 val run :
-  ?check:bool ->
-  ?engine:Simulator.engine ->
-  cache ->
-  Circuit.t ->
-  bool array ->
-  Simulator.result
+  ?engine:Simulator.engine -> cache -> Circuit.t -> bool array -> Simulator.result
 (** Evaluate one input vector with the chosen engine (default
-    {!Simulator.Packed}). *)
+    {!Simulator.Packed}).  Neither engine checks for overflow: the
+    packed form proves when it compiles that no sum can wrap, and
+    refuses a circuit past that bound (see {!Packed}).  For checked
+    reference evaluation call {!Simulator.run} with [~check:true]. *)
 
-val run_batch :
-  ?check:bool -> cache -> Circuit.t -> bool array array -> Packed.batch_result
+val run_batch : cache -> Circuit.t -> bool array array -> Packed.batch_result
 (** Batched evaluation (always the packed engine — the reference
     interpreter has no batched mode). *)

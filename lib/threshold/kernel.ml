@@ -10,14 +10,12 @@
    dispatches per segment, falling back to the generic CSR loop
    ([Generic]) where neither applies.
 
-   Safety of baking thresholds in: native int addition is mod 2^63,
-   which is commutative and associative, so the compile-time subset
-   sums of [Tt] equal the generic path's running sums no matter the
+   Safety of baking thresholds in: [Packed] only admits circuits whose
+   segment sums provably fit a native int, so the compile-time subset
+   sums of [Tt] are the generic path's sums exactly, in any
    accumulation order; [Pop] is only compiled when |weight| * (fan+1)
-   cannot exceed max_int, so neither the generic sum nor the
-   compile-time division ever wraps and the count compare is exact.
-   Overflow-checked evaluation bypasses kernels entirely (the generic
-   edge-order loop is the documented [Checked.add] order). *)
+   cannot exceed max_int, so the compile-time division is exact and
+   the count compare is equivalent to the sum compare. *)
 
 (* ------------------------------------------------------------------ *)
 (* Lane packing tables (shared with Packed)                           *)

@@ -42,15 +42,13 @@
       narrow leftovers, and anything compiled through
       {!Packed.of_circuit}).
 
-    Baked thresholds are safe because both kernel families reproduce
-    the generic path's arithmetic exactly: truth-table sums are folded
-    with the same wrap-around [( + )] (addition mod 2{^63} is
-    commutative, so enumeration order cannot matter), and popcount
-    kernels are only compiled when [|weight| * fan] cannot wrap, which
-    makes the compile-time division exact.  Overflow-{i checked}
-    evaluation never dispatches kernels — it keeps the generic
-    edge-order loop so [Checked.add] observes the documented
-    accumulation order. *)
+    Baked thresholds are safe because every kernel family reproduces
+    the generic path's arithmetic exactly: {!Packed} only admits
+    circuits whose segment sums provably fit a native int, so
+    truth-table sums are exact subset sums whatever the enumeration
+    order, and popcount kernels are only compiled when
+    [|weight| * fan] cannot wrap, which makes the compile-time division
+    exact. *)
 
 (** {1 Lane packing}
 

@@ -131,6 +131,37 @@ and fanout = {
   fan_weight : ivec;  (* edge weight, length pool_edges *)
 }
 
+(* The arithmetic bound every evaluator relies on (see packed.mli):
+   each sum they form, partial sums included, is the weighted sum of a
+   subset of one segment's edges, so it lies within the segment's
+   negative and positive weight masses (|weight| x group size, summed
+   per sign).  Returns the first segment where either mass does not fit
+   a native int.  O(groups). *)
+let unbounded_segment ~seg_grp ~grp_off ~grp_weight =
+  let s = ref 0 in
+  try
+    while !s < Array.length seg_grp - 1 do
+      let pos = ref 0 and neg = ref 0 in
+      for g = seg_grp.(!s) to seg_grp.(!s + 1) - 1 do
+        let w = grp_weight.(g) in
+        let mass = Checked.mul (Checked.abs w) (grp_off.(g + 1) - grp_off.(g)) in
+        if w >= 0 then pos := Checked.add !pos mass
+        else neg := Checked.add !neg mass
+      done;
+      incr s
+    done;
+    None
+  with Checked.Overflow _ -> Some !s
+
+let check_mass name ~seg_grp ~grp_off ~grp_weight =
+  match unbounded_segment ~seg_grp ~grp_off ~grp_weight with
+  | None -> ()
+  | Some s ->
+      invalid_arg
+        (Printf.sprintf
+           "Packed.%s: segment %d's weight mass does not fit a native int" name
+           s)
+
 let of_circuit (c : Circuit.t) =
   let num_inputs = c.Circuit.num_inputs in
   let gates = c.Circuit.gates in
@@ -255,6 +286,9 @@ let of_circuit (c : Circuit.t) =
   Intvec.push seg_gates ng;
   Intvec.push seg_grp (Intvec.length grp_weight);
   Intvec.push grp_off (Intvec.length pool_wires);
+  let seg_grp = Intvec.to_array seg_grp and grp_off = Intvec.to_array grp_off in
+  let grp_weight = Intvec.to_array grp_weight in
+  check_mass "of_circuit" ~seg_grp ~grp_off ~grp_weight;
   {
     circuit = Lazy.from_val c;
     num_inputs;
@@ -265,9 +299,9 @@ let of_circuit (c : Circuit.t) =
     seg_off = Intvec.to_array seg_off;
     seg_fan = Intvec.to_array seg_fan;
     seg_gates = Intvec.to_array seg_gates;
-    seg_grp = Intvec.to_array seg_grp;
-    grp_off = Intvec.to_array grp_off;
-    grp_weight = Intvec.to_array grp_weight;
+    seg_grp;
+    grp_off;
+    grp_weight;
     level_segs;
     g_threshold = ba_of_array g_threshold;
     g_wire = ba32_of_array g_wire;
@@ -423,12 +457,12 @@ let of_arena ?(kernels = true) (a : Builder.arena) =
     done;
     (* Kernel-grade CSR: sort each sizable weight group's edges by wire
        id.  Within a group every edge carries the same weight, so any
-       order computes the same sums (checked evaluation simply follows
-       the sorted order), and the truth-table kernels are invariant
-       under permuting equal-weight positions.  The paper's wide shared
-       layers gather thousands of scattered wires per segment; the
-       batched fold is memory-latency-bound on those reads, and a
-       monotone scan turns them into cache-line-coalesced sweeps. *)
+       order computes the same sums, and the truth-table kernels are
+       invariant under permuting equal-weight positions.  The paper's
+       wide shared layers gather thousands of scattered wires per
+       segment; the batched fold is memory-latency-bound on those
+       reads, and a monotone scan turns them into cache-line-coalesced
+       sweeps. *)
     (if kernels then
        let gs = ps.Template.q_grp_start in
        let ngr = Array.length gs in
@@ -495,6 +529,7 @@ let of_arena ?(kernels = true) (a : Builder.arena) =
   seg_gates.(nsegs) <- ng;
   seg_grp.(nsegs) <- ngroups;
   grp_off.(ngroups) <- nedges;
+  check_mass "of_arena" ~seg_grp ~grp_off ~grp_weight;
   {
     circuit =
       lazy
@@ -528,31 +563,19 @@ let of_arena ?(kernels = true) (a : Builder.arena) =
 
 (* Weighted sum of segment [s] under [values], one byte per wire, one
    weight group at a time.  The scalar evaluators only ever write 0 or
-   1 there, so unchecked, a group costs a branch-free sum of its wires'
-   bytes and one multiply by the group weight — no data-dependent
-   branch; native-int arithmetic is modular, so this equals the
-   per-edge sum bit for bit even when it wraps.  Checked, it is the
-   per-edge [Checked.add] of the group weight in pool order (groups
-   tile the segment's edges in order), so overflow traps where every
-   other checked evaluator traps. *)
-let seg_sum ~check t values s =
+   1 there, so a group costs a branch-free sum of its wires' bytes and
+   one multiply by the group weight — no data-dependent branch. *)
+let seg_sum t values s =
   let pw = t.pool_wires in
   let sum = ref 0 in
   for g = Array.unsafe_get t.seg_grp s to Array.unsafe_get t.seg_grp (s + 1) - 1 do
     let wt = Array.unsafe_get t.grp_weight g in
     let e0 = Array.unsafe_get t.grp_off g and e1 = Array.unsafe_get t.grp_off (g + 1) in
-    if check then
-      for i = e0 to e1 - 1 do
-        if Bytes.unsafe_get values (wget pw i) <> '\000' then
-          sum := Checked.add !sum wt
-      done
-    else begin
-      let cnt = ref 0 in
-      for i = e0 to e1 - 1 do
-        cnt := !cnt + Char.code (Bytes.unsafe_get values (wget pw i))
-      done;
-      sum := !sum + (!cnt * wt)
-    end
+    let cnt = ref 0 in
+    for i = e0 to e1 - 1 do
+      cnt := !cnt + Char.code (Bytes.unsafe_get values (wget pw i))
+    done;
+    sum := !sum + (!cnt * wt)
   done;
   !sum
 
@@ -574,12 +597,12 @@ let fire_prefix t values ~glo cut =
 (* Evaluate segments [lo, hi) against [values]; returns the number of
    gates fired.  Each segment computes its shared weighted sum once and
    fires the prefix of its (ascending) thresholds that the sum reaches. *)
-let eval_segs ~check t values lo hi =
+let eval_segs t values lo hi =
   let fired = ref 0 in
   for s = lo to hi - 1 do
     let glo = Array.unsafe_get t.seg_gates s in
     let ghi = Array.unsafe_get t.seg_gates (s + 1) in
-    let cut = seg_cut t ~glo ~ghi (seg_sum ~check t values s) in
+    let cut = seg_cut t ~glo ~ghi (seg_sum t values s) in
     fire_prefix t values ~glo cut;
     fired := !fired + cut
   done;
@@ -599,22 +622,22 @@ let load_inputs t values inputs =
 (* The scalar level walk behind [run] and one-lane [run_batch]: each
    level runs under [timed l] and its firing count lands in the returned
    array. *)
-let walk_levels ~check ~timed t values =
+let walk_levels ~timed t values =
   let level_firings = Array.make t.levels 0 in
   for l = 0 to t.levels - 1 do
     timed l (fun () ->
         level_firings.(l) <-
-          eval_segs ~check t values t.level_segs.(l) t.level_segs.(l + 1))
+          eval_segs t values t.level_segs.(l) t.level_segs.(l + 1))
   done;
   level_firings
 
 let untimed _ f = f ()
 
-let run ?(check = false) t inputs =
+let run t inputs =
   check_width "run" t inputs;
   let values = Bytes.create t.num_wires in
   load_inputs t values inputs;
-  let level_firings = walk_levels ~check ~timed:untimed t values in
+  let level_firings = walk_levels ~timed:untimed t values in
   {
     Simulator.values;
     outputs = Array.map (fun w -> Bytes.unsafe_get values w <> '\000') t.outputs;
@@ -688,7 +711,6 @@ let fanout_index t =
    a side array to keep the hot stride at a half line. *)
 type session = {
   ss_t : t;
-  ss_check : bool;
   ss_values : Bytes.t;  (* last-known value of every wire *)
   ss_st : ivec;  (* 4 * num_segments, layout above *)
   ss_cut : int array;  (* per segment: firing-prefix length *)
@@ -726,7 +748,7 @@ let set_bracket t st base ~glo ~ghi cut =
   bset st (base + 2)
     (if glo + cut >= ghi then max_int else bget t.g_threshold (glo + cut))
 
-let session ?(check = false) t inputs =
+let session t inputs =
   check_width "session" t inputs;
   let values = Bytes.create t.num_wires in
   load_inputs t values inputs;
@@ -740,7 +762,7 @@ let session ?(check = false) t inputs =
     let fired = ref 0 in
     for s = t.level_segs.(l) to t.level_segs.(l + 1) - 1 do
       let glo = t.seg_gates.(s) and ghi = t.seg_gates.(s + 1) in
-      let sum = seg_sum ~check t values s in
+      let sum = seg_sum t values s in
       let cut = seg_cut t ~glo ~ghi sum in
       let base = s lsl 2 in
       bset st (base + 0) sum;
@@ -754,7 +776,6 @@ let session ?(check = false) t inputs =
   done;
   {
     ss_t = t;
-    ss_check = check;
     ss_values = values;
     ss_st = st;
     ss_cut;
@@ -783,42 +804,23 @@ let session_inputs ss =
   Array.init ss.ss_t.num_inputs (fun i ->
       Bytes.unsafe_get ss.ss_values i <> '\000')
 
-(* Flip wire [w] to [v]: delta-adjust every segment reading it through
-   the transposed index, and queue only the segments whose sum left its
-   firing-cut bracket — a segment whose cut cannot have moved is never
-   swept at all.  Readers sit at strictly later levels than the writer
-   (depths increase along edges), so a flip raised while level [l] is
-   swept only ever queues levels > l.  Checked sessions skip the delta
-   bookkeeping and queue every reader: their dirty segments are
-   recomputed from the pool during the sweep, keeping overflow
-   behaviour identical to a from-scratch checked run. *)
-let touch_wire ss f w v =
+(* Flip wire [w] to [v]: write its value byte and stage the flip for
+   [flush_touches]. *)
+let touch_wire ss w v =
   Bytes.unsafe_set ss.ss_values w (if v then '\001' else '\000');
-  if ss.ss_check then begin
-    let st = ss.ss_st in
-    let queue = ss.ss_queue in
-    let lo = bget f.fan_off w and hi = bget f.fan_off (w + 1) in
-    for i = lo to hi - 1 do
-      let s = bget f.fan_seg i in
-      let base = s lsl 2 in
-      let lvd = bget st (base + 3) in
-      if lvd land 1 = 0 then begin
-        bset st (base + 3) (lvd lor 1);
-        Intvec.push (Array.unsafe_get queue (lvd lsr 1)) s
-      end
-    done
-  end
-  else begin
-    let n = ss.ss_nwires in
-    bset ss.ss_wires n ((w lsl 1) lor Bool.to_int v);
-    ss.ss_nwires <- n + 1
-  end
+  let n = ss.ss_nwires in
+  bset ss.ss_wires n ((w lsl 1) lor Bool.to_int v);
+  ss.ss_nwires <- n + 1
 
-(* Run the staged wire flips through the C touch loop and queue the
-   bracket-crossing segments by level.  A wire is staged at most once
-   between flushes: delta entries are deduplicated against the value
-   bytes, and within one level sweep each gate wire changes at most
-   once. *)
+(* Run the staged wire flips through the C touch loop: it delta-adjusts
+   every segment reading them through the transposed index, and only
+   the segments whose sum left its firing-cut bracket are queued here,
+   by level — a segment whose cut cannot have moved is never swept at
+   all.  Readers sit at strictly later levels than the writer (depths
+   increase along edges), so a flip raised while level [l] is swept
+   only ever queues levels > l.  A wire is staged at most once between
+   flushes: delta entries are deduplicated against the value bytes,
+   and within one level sweep each gate wire changes at most once. *)
 let flush_touches ss f =
   let n = ss.ss_nwires in
   if n > 0 then begin
@@ -839,17 +841,22 @@ let flush_touches ss f =
 
 let update ss delta =
   let t = ss.ss_t in
+  (* Validate the whole delta before touching any state, so a rejected
+     one leaves the session exactly as it was. *)
+  Array.iter
+    (fun (i, _) ->
+      if i < 0 || i >= t.num_inputs then
+        invalid_arg
+          (Printf.sprintf "Packed.update: wire %d is not an input (inputs: %d)"
+             i t.num_inputs))
+    delta;
   let f = fanout_index t in
   ss.ss_updates <- ss.ss_updates + 1;
   Array.iter
     (fun (i, v) ->
-      if i < 0 || i >= t.num_inputs then
-        invalid_arg
-          (Printf.sprintf "Packed.update: wire %d is not an input (inputs: %d)"
-             i t.num_inputs);
       if Bytes.unsafe_get ss.ss_values i <> '\000' <> v then begin
         ss.ss_flips <- ss.ss_flips + 1;
-        touch_wire ss f i v
+        touch_wire ss i v
       end)
     delta;
   flush_touches ss f;
@@ -871,15 +878,7 @@ let update ss delta =
         let glo = Array.unsafe_get t.seg_gates s in
         let ghi = Array.unsafe_get t.seg_gates (s + 1) in
         ss.ss_dirty_gates <- ss.ss_dirty_gates + ghi - glo;
-        let sum =
-          if ss.ss_check then begin
-            let sum = seg_sum ~check:true t ss.ss_values s in
-            bset st (base + 0) sum;
-            sum
-          end
-          else bget st (base + 0)
-        in
-        let cut = seg_cut t ~glo ~ghi sum in
+        let cut = seg_cut t ~glo ~ghi (bget st (base + 0)) in
         let old = Array.unsafe_get ss.ss_cut s in
         if cut <> old then begin
           Array.unsafe_set ss.ss_cut s cut;
@@ -887,11 +886,11 @@ let update ss delta =
           ss.ss_lf.(l) <- ss.ss_lf.(l) + cut - old;
           if cut > old then
             for g = glo + old to glo + cut - 1 do
-              touch_wire ss f (wget t.g_wire g) true
+              touch_wire ss (wget t.g_wire g) true
             done
           else
             for g = glo + cut to glo + old - 1 do
-              touch_wire ss f (wget t.g_wire g) false
+              touch_wire ss (wget t.g_wire g) false
             done
         end
       done;
@@ -1038,14 +1037,14 @@ let[@inline always] ladder_in ~direct ~nmask ~wordc vals pw gv ~i0 ~b k =
    the last word hold 0 on every wire: inputs are only packed for real
    lanes, and every gate write below is masked to the word's active
    lanes — so set-bit iteration never visits them. *)
-let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
+let eval_batch_segs t sc vals ~wordc ~lanes ~fires lo hi =
   let pw = t.pool_wires in
   let th = t.g_threshold and gw = t.g_wire in
   let ctz = ctz_table and ls = lane_slot in
   let accs = sc.sc_accs and cnt = sc.sc_cnt and maxjs = sc.sc_maxj in
   let gate_out = sc.sc_gate_out in
   let kern = t.kern in
-  let have_kern = (not check) && Array.length kern <> 0 in
+  let have_kern = Array.length kern <> 0 in
   (* Branchless carry-save fold of edges [e0, e1) into the bit-sliced
      counters, [w] levels deep ([w >= bits_for (e1 - e0)], so the carry
      out of the top level is always zero).  Edges are consumed in
@@ -1413,101 +1412,73 @@ let eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi =
         (* Per-lane accumulators, addressed by hash slot: one metadata
            read per edge, then only the lanes whose wire is 1 pay an add
            (firing is sparse on the paper's circuits, so iterating set
-           bits beats a dense lane loop). *)
-        (if check then begin
-           (* Checked mode stays on the straightforward per-edge loop so
-              the running per-lane sums follow pool order exactly. *)
-           for g = Array.unsafe_get t.seg_grp s to Array.unsafe_get t.seg_grp (s + 1) - 1 do
-             let wt = Array.unsafe_get t.grp_weight g in
-             for i = Array.unsafe_get t.grp_off g to Array.unsafe_get t.grp_off (g + 1) - 1 do
-               let wb = wget pw i * wordc in
-               for wd = 0 to wordc - 1 do
-                 let m = ref (Array.unsafe_get vals (wb + wd)) in
-                 if !m <> 0 then begin
-                   let ab = wd * ctz_slots in
-                   while !m <> 0 do
-                     let b = !m land (- !m) in
-                     let sl = ab + ((b * ctz_mul) lsr 56) in
-                     Array.unsafe_set accs sl
-                       (Checked.add (Array.unsafe_get accs sl) wt);
-                     m := !m lxor b
-                   done
-                 end
-               done
-             done
-           done
-         end
-         else begin
-           (* Edges come grouped by weight.  Large groups (the paper's
-              wide shared layers have fan-in in the hundreds but only a
-              few distinct weights) use a carry-save ladder: per edge,
-              one xor/and ripple folds the wire word into bit-sliced
-              per-lane counters for all 62 lanes at once; the counters
-              are unsliced once per group via [acc += (wt lsl j)] per
-              set counter bit.  Wrap-around arithmetic agrees
-              bit-for-bit with per-edge adds (sums are computed mod 2^63
-              either way).  Small groups keep the direct per-set-bit
-              adds. *)
-           let g0 = Array.unsafe_get t.seg_grp s in
-           let g1 = Array.unsafe_get t.seg_grp (s + 1) in
-           for g = g0 to g1 - 1 do
-             let e0 = Array.unsafe_get t.grp_off g in
-             let e1 = Array.unsafe_get t.grp_off (g + 1) in
-             let wt = Array.unsafe_get t.grp_weight g in
-             if e1 - e0 >= csa_cutoff then begin
-               Array.fill maxjs 0 wordc 0;
-               for i = e0 to e1 - 1 do
-                 let wb = wget pw i * wordc in
-                 for wd = 0 to wordc - 1 do
-                   let x = ref (Array.unsafe_get vals (wb + wd)) in
-                   if !x <> 0 then begin
-                     let cb = wd * csa_bits in
-                     let j = ref 0 in
-                     while !x <> 0 do
-                       let c = Array.unsafe_get cnt (cb + !j) in
-                       Array.unsafe_set cnt (cb + !j) (c lxor !x);
-                       x := c land !x;
-                       incr j
-                     done;
-                     if !j > Array.unsafe_get maxjs wd then
-                       Array.unsafe_set maxjs wd !j
-                   end
-                 done
-               done;
-               for wd = 0 to wordc - 1 do
-                 let cb = wd * csa_bits and ab = wd * ctz_slots in
-                 for j = 0 to Array.unsafe_get maxjs wd - 1 do
-                   let m = ref (Array.unsafe_get cnt (cb + j)) in
-                   Array.unsafe_set cnt (cb + j) 0;
-                   let wj = wt lsl j in
-                   while !m <> 0 do
-                     let b = !m land (- !m) in
-                     let sl = ab + ((b * ctz_mul) lsr 56) in
-                     Array.unsafe_set accs sl (Array.unsafe_get accs sl + wj);
-                     m := !m lxor b
-                   done
-                 done
-               done
-             end
-             else begin
-               for i = e0 to e1 - 1 do
-                 let wb = wget pw i * wordc in
-                 for wd = 0 to wordc - 1 do
-                   let m = ref (Array.unsafe_get vals (wb + wd)) in
-                   if !m <> 0 then begin
-                     let ab = wd * ctz_slots in
-                     while !m <> 0 do
-                       let b = !m land (- !m) in
-                       let sl = ab + ((b * ctz_mul) lsr 56) in
-                       Array.unsafe_set accs sl (Array.unsafe_get accs sl + wt);
-                       m := !m lxor b
-                     done
-                   end
-                 done
-               done
-             end
-           done
-         end);
+           bits beats a dense lane loop).  Edges come grouped by weight.
+           Large groups (the paper's wide shared layers have fan-in in
+           the hundreds but only a few distinct weights) use a
+           carry-save ladder: per edge, one xor/and ripple folds the
+           wire word into bit-sliced per-lane counters for all 62 lanes
+           at once; the counters are unsliced once per group via
+           [acc += (wt lsl j)] per set counter bit.  Small groups keep
+           the direct per-set-bit adds. *)
+        let g0 = Array.unsafe_get t.seg_grp s in
+        let g1 = Array.unsafe_get t.seg_grp (s + 1) in
+        for g = g0 to g1 - 1 do
+          let e0 = Array.unsafe_get t.grp_off g in
+          let e1 = Array.unsafe_get t.grp_off (g + 1) in
+          let wt = Array.unsafe_get t.grp_weight g in
+          if e1 - e0 >= csa_cutoff then begin
+            Array.fill maxjs 0 wordc 0;
+            for i = e0 to e1 - 1 do
+              let wb = wget pw i * wordc in
+              for wd = 0 to wordc - 1 do
+                let x = ref (Array.unsafe_get vals (wb + wd)) in
+                if !x <> 0 then begin
+                  let cb = wd * csa_bits in
+                  let j = ref 0 in
+                  while !x <> 0 do
+                    let c = Array.unsafe_get cnt (cb + !j) in
+                    Array.unsafe_set cnt (cb + !j) (c lxor !x);
+                    x := c land !x;
+                    incr j
+                  done;
+                  if !j > Array.unsafe_get maxjs wd then
+                    Array.unsafe_set maxjs wd !j
+                end
+              done
+            done;
+            for wd = 0 to wordc - 1 do
+              let cb = wd * csa_bits and ab = wd * ctz_slots in
+              for j = 0 to Array.unsafe_get maxjs wd - 1 do
+                let m = ref (Array.unsafe_get cnt (cb + j)) in
+                Array.unsafe_set cnt (cb + j) 0;
+                let wj = wt lsl j in
+                while !m <> 0 do
+                  let b = !m land (- !m) in
+                  let sl = ab + ((b * ctz_mul) lsr 56) in
+                  Array.unsafe_set accs sl (Array.unsafe_get accs sl + wj);
+                  m := !m lxor b
+                done
+              done
+            done
+          end
+          else begin
+            for i = e0 to e1 - 1 do
+              let wb = wget pw i * wordc in
+              for wd = 0 to wordc - 1 do
+                let m = ref (Array.unsafe_get vals (wb + wd)) in
+                if !m <> 0 then begin
+                  let ab = wd * ctz_slots in
+                  while !m <> 0 do
+                    let b = !m land (- !m) in
+                    let sl = ab + ((b * ctz_mul) lsr 56) in
+                    Array.unsafe_set accs sl (Array.unsafe_get accs sl + wt);
+                    m := !m lxor b
+                  done
+                end
+              done
+            done
+          end
+        done;
         for wd = 0 to wordc - 1 do
           let base = wd * word_lanes in
           let w_lanes = min word_lanes (lanes - base) in
@@ -1607,7 +1578,7 @@ let workspace () = { w_vals = [||]; w_bytes = Bytes.empty }
    whole batch, levels outer, lane words handled inside each segment.
    Scratch and firing buffers are preallocated once, so every level runs
    allocation-free. *)
-let run_words ~check ~timed t ws inputs =
+let run_words ~timed t ws inputs =
   let lanes = Array.length inputs in
   let wordc = (lanes + word_lanes - 1) / word_lanes in
   let nv = t.num_wires * wordc in
@@ -1638,7 +1609,7 @@ let run_words ~check ~timed t ws inputs =
         let lo = t.level_segs.(l) and hi = t.level_segs.(l + 1) in
         if hi > lo then begin
           Array.fill fires 0 lanes 0;
-          eval_batch_segs ~check t sc vals ~wordc ~lanes ~fires lo hi;
+          eval_batch_segs t sc vals ~wordc ~lanes ~fires lo hi;
           for ln = 0 to lanes - 1 do
             lf.(ln).(l) <- Array.unsafe_get fires ln
           done
@@ -1648,7 +1619,7 @@ let run_words ~check ~timed t ws inputs =
 
 (* One lane: a lone request would leave 61 of a word's 62 lanes empty,
    so it takes the scalar walk [run] uses instead of the kernels. *)
-let run_lane ~check ~timed t ws input =
+let run_lane ~timed t ws input =
   let nw = t.num_wires in
   let values =
     match ws with
@@ -1660,7 +1631,7 @@ let run_lane ~check ~timed t ws input =
     | None -> Bytes.create nw
   in
   load_inputs t values input;
-  (Wire_bytes values, [| walk_levels ~check ~timed t values |])
+  (Wire_bytes values, [| walk_levels ~timed t values |])
 
 let lane_value values ~lane w =
   match values with
@@ -1670,7 +1641,7 @@ let lane_value values ~lane w =
       = 1
   | Wire_bytes b -> Bytes.get b w <> '\000'
 
-let run_batch ?(check = false) ?profile ?ws t inputs =
+let run_batch ?profile ?ws t inputs =
   let lanes = Array.length inputs in
   if lanes = 0 then invalid_arg "Packed.run_batch: empty batch";
   Array.iter (check_width "run_batch" t) inputs;
@@ -1685,8 +1656,8 @@ let run_batch ?(check = false) ?profile ?ws t inputs =
             p.ep_level_ns.(l) +. ((Tcmm_util.Clock.now () -. t0) *. 1e9)
   in
   let b_values, lf =
-    if lanes = 1 then run_lane ~check ~timed t ws inputs.(0)
-    else run_words ~check ~timed t ws inputs
+    if lanes = 1 then run_lane ~timed t ws inputs.(0)
+    else run_words ~timed t ws inputs
   in
   (match profile with
   | None -> ()
@@ -1863,6 +1834,12 @@ let load ?(kernels = true) ?(recompile = false) s =
         <> s.sec_grp_off.(s.sec_seg_grp.(seg + 1))
       then fail "segment %d fan/group extent mismatch" seg
     done;
+    (match
+       unbounded_segment ~seg_grp:s.sec_seg_grp ~grp_off:s.sec_grp_off
+         ~grp_weight:s.sec_grp_weight
+     with
+    | Some seg -> fail "segment %d's weight mass does not fit a native int" seg
+    | None -> ());
     (* Bounds that make the evaluators' unsafe accesses safe. *)
     for e = 0 to nedges - 1 do
       let w = wget s.sec_pool_wires e in

@@ -22,8 +22,19 @@
 
     All evaluators return {i bit-identical} [outputs], [firings] and
     [level_firings] to {!Simulator.run} (the property-test suite checks
-    this exactly), including the overflow-checked path — only the wire
-    evaluation order differs, which is unobservable in the result. *)
+    this exactly) — only the wire evaluation order differs, which is
+    unobservable in the result.
+
+    {b Arithmetic bound.}  None of them checks for overflow, because
+    none can occur: every constructor ({!of_circuit}, {!of_arena},
+    {!load}) proves that each segment's positive and negative weight
+    mass (the sum of [|weight|] over its edges of that sign) fits a
+    native int, and refuses the circuit otherwise.  Every sum an
+    evaluator forms, partial sums included, is the weighted sum of a
+    subset of one segment's edges, so it lies within those masses.
+    The paper's circuits take [O(log N)]-bit entries and pass with room
+    to spare; the widest served spec (signed 28-bit matmul entries)
+    peaks at 61 bits. *)
 
 type t
 (** A compiled circuit. *)
@@ -31,8 +42,10 @@ type t
 val of_circuit : Circuit.t -> t
 (** Compile.  Costs one pass over the gates plus one over the (deduped)
     edges; memory is proportional to the {i unique} edge storage, not
-    the logical edge count.  Wire ids are stored in 32 bits: raises
-    [Invalid_argument] on a circuit with more than [2^31] wires. *)
+    the logical edge count.  Raises [Invalid_argument] on a circuit
+    with more than [2^31] wires (wire ids are stored in 32 bits) or
+    with a segment whose positive or negative weight mass exceeds
+    [max_int] (see the arithmetic bound above). *)
 
 val circuit : t -> Circuit.t
 (** The per-gate view.  For {!of_circuit}-compiled values this is the
@@ -59,7 +72,8 @@ val of_arena : ?kernels:bool -> Builder.arena -> t
     arithmetic, so the cost is proportional to the {i pooled} edge
     count, not the logical one.  The result is identical to
     [of_circuit] applied to the materialized circuit.  Raises
-    [Invalid_argument], like {!of_circuit}, past [2^31] wires.
+    [Invalid_argument], like {!of_circuit}, past [2^31] wires or past
+    the weight-mass bound.
 
     [kernels] (default [true]) dispatches each template segment to its
     specialized batch evaluator ({!Kernel.compile}); [~kernels:false]
@@ -80,13 +94,12 @@ type coverage = {
 
 val coverage : t -> coverage
 
-val run : ?check:bool -> t -> bool array -> Simulator.result
+val run : t -> bool array -> Simulator.result
 (** [run t inputs] evaluates one input vector by the scalar level walk:
     one byte per wire, and each segment's sum taken one weight group at
     a time (a branch-free count of the group's set wires, then one
-    multiply by its weight).  [check] (default [false]) instead adds
-    edge by edge with overflow checking.  The result is bit-identical
-    to [Simulator.run (circuit t) inputs] in every field. *)
+    multiply by its weight).  The result is bit-identical to
+    [Simulator.run (circuit t) inputs] in every field. *)
 
 (** {1 Incremental evaluation}
 
@@ -100,12 +113,12 @@ val run : ?check:bool -> t -> bool array -> Simulator.result
     keeps many state-line misses in flight — but queues only the
     segments whose sum crossed its bracket; the sweep then re-decides
     those level by level, propagating changed gate wires downward until
-    no level queues anything further.  A [~check:true] session instead
-    queues every reader and recomputes dirty sums by the overflow-checked
-    CSR walk, keeping overflow behaviour identical to a from-scratch
-    checked run.  Results are bit-identical to a from-scratch {!run} in
-    [outputs], [firings] and [level_firings] — the differential fuzzer
-    checks this on every intermediate state of random flip sequences. *)
+    no level queues anything further.  Delta-adjusted sums stay within
+    the segment's weight masses, like every other sum (see the
+    arithmetic bound above).  Results are bit-identical to a
+    from-scratch {!run} in [outputs], [firings] and [level_firings] —
+    the differential fuzzer checks this on every intermediate state of
+    random flip sequences. *)
 
 type session
 (** Mutable incremental-evaluation state over one compiled circuit.  A
@@ -113,12 +126,10 @@ type session
     first session on a [t] builds (and memoizes on [t]) the transposed
     fanout index — O(pool edges) once. *)
 
-val session : ?check:bool -> t -> bool array -> session
+val session : t -> bool array -> session
 (** [session t inputs] evaluates [inputs] from scratch and captures the
-    state.  [check] (default [false]) makes this and every subsequent
-    {!update} overflow-checked; a raised [Checked.Overflow] leaves the
-    session unusable.  Raises [Invalid_argument] on a wrongly-sized
-    input vector. *)
+    state.  Raises [Invalid_argument] on a wrongly-sized input
+    vector. *)
 
 val update : session -> (int * bool) array -> Simulator.result
 (** [update s delta] sets input wire [i] to [v] for each [(i, v)] of
@@ -127,7 +138,8 @@ val update : session -> (int * bool) array -> Simulator.result
     returned [values] buffer {b aliases} the session state — valid only
     until the next [update]; [outputs], [firings] and [level_firings]
     are fresh.  Raises [Invalid_argument] if an index is not an input
-    wire. *)
+    wire; the whole delta is validated first, so a rejected one leaves
+    the session unchanged. *)
 
 val session_result : session -> Simulator.result
 (** The current state as a result, without applying a delta (same
@@ -197,7 +209,6 @@ type workspace
 val workspace : unit -> workspace
 
 val run_batch :
-  ?check:bool ->
   ?profile:eval_profile ->
   ?ws:workspace ->
   t ->
@@ -206,10 +217,10 @@ val run_batch :
 (** [run_batch t inputs] evaluates every vector of [inputs] (one lane
     each).  Two or more lanes go through the 62-lane kernels; a single
     lane goes through {!run}'s scalar level walk, writing into the
-    workspace's byte buffer.  [check] and [profile] mean the same on
-    both routes: [profile] counts one batch and its lanes and adds each
-    level's wall time.  Raises [Invalid_argument]
-    on an empty batch or a wrongly-sized input vector. *)
+    workspace's byte buffer.  [profile] means the same on both routes:
+    it counts one batch and its lanes and adds each level's wall time.
+    Raises [Invalid_argument] on an empty batch or a wrongly-sized
+    input vector. *)
 
 val lanes : batch_result -> int
 val batch_outputs : batch_result -> lane:int -> bool array
@@ -275,9 +286,12 @@ val load : ?kernels:bool -> ?recompile:bool -> sections -> (t, string) result
     reproduced faithfully as all-generic dispatch (the original was
     packed without kernels).  [Error] describes the first violated
     invariant — among them a wire count past [2^31], a wire id out of
-    range, an index entry the table does not hold, or a table that does
-    not decode; on [Ok t], every evaluator entry point is memory-safe
-    even if the sections were corrupt in ways a checksum would miss.
+    range, a segment past the weight-mass bound, an index entry the
+    table does not hold, or a table that does not decode; on [Ok t],
+    every evaluator entry point is memory-safe and wrap-free even if
+    the sections were corrupt in ways a checksum would miss.  The
+    weight masses are recomputed from the sections (O(groups)), not
+    read from a stored figure that could be forged along with them.
     {!circuit} raises on a loaded [t] — the explicit gate list is not
     persisted. *)
 

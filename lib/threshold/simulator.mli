@@ -8,8 +8,8 @@
 
     This module is the {i reference} semantics: one gate at a time, in
     gate-id order.  {!Packed} compiles a circuit into a flat levelized
-    form and evaluates it much faster (optionally on several cores, or on
-    whole batches of input vectors) with bit-identical results; the
+    form and evaluates it much faster (one vector at a time, or whole
+    batches of input vectors at once) with bit-identical results; the
     circuit drivers in [lib/core] accept an {!engine} argument to choose
     between the two. *)
 
@@ -29,8 +29,11 @@ type result = {
 
 val run : ?check:bool -> Circuit.t -> bool array -> result
 (** [run c inputs] evaluates [c] on [inputs].
-    [check] (default [false]) enables overflow-checked accumulation.
-    Raises [Invalid_argument] if [inputs] length differs from
+    [check] (default [false]) enables overflow-checked accumulation,
+    raising [Tcmm_util.Checked.Overflow] on a sum that wraps.  This is
+    the one checked evaluator: it takes any [Circuit.t], while
+    {!Packed} refuses a circuit whose sums could wrap.  Raises
+    [Invalid_argument] if [inputs] length differs from
     [c.num_inputs]. *)
 
 val value : result -> Wire.t -> bool

@@ -701,6 +701,47 @@ let test_circuit_cache_rejects () =
   S.check_bool "bad n" true (bad (fun s -> { s with P.n = 0 }));
   S.check_bool "bad bits" true (bad (fun s -> { s with P.entry_bits = 0 }))
 
+(* The widest entries a matmul spec admits: signed 28-bit entries at
+   n=2 put segment sums at up to 61 bits, inside the packed form's
+   proven weight-mass bound.  Products at the extremes must match the
+   integer reference exactly through the one-lane scalar walk and the
+   62-lane kernels alike.  One bit wider, the build must fail with an
+   error, never serve a wrapped product. *)
+let test_circuit_cache_widest_entries () =
+  let module Cc = Tcmm_server.Circuit_cache in
+  let spec = { small_spec with P.entry_bits = 28; signed = true } in
+  let cc = Cc.create ~capacity:2 () in
+  let built =
+    match Cc.find_or_build cc spec with
+    | Error e -> Alcotest.fail e
+    | Ok ({ Cc.compiled = Cc.Matmul built; _ }, _) -> built
+    | Ok _ -> Alcotest.fail "expected a matmul entry"
+  in
+  let m = (1 lsl 27) - 1 in
+  let mat signs = F.Matrix.init ~rows:2 ~cols:2 (fun i j -> signs.((2 * i) + j) * m) in
+  let rng = Tcmm_util.Prng.create ~seed:28 in
+  let random () = F.Matrix.random rng ~rows:2 ~cols:2 ~lo:(-m) ~hi:m in
+  let pairs =
+    Array.append
+      [|
+        (mat [| 1; 1; 1; 1 |], mat [| 1; 1; 1; 1 |]);
+        (mat [| -1; -1; -1; -1 |], mat [| 1; 1; 1; 1 |]);
+        (mat [| -1; -1; -1; -1 |], mat [| -1; -1; -1; -1 |]);
+        (mat [| 1; -1; -1; 1 |], mat [| -1; 1; 1; -1 |]);
+      |]
+      (Array.init 4 (fun _ -> (random (), random ())))
+  in
+  let exact (a, b) c = F.Matrix.equal c (F.Matrix.mul a b) in
+  Array.iter
+    (fun pair ->
+      S.check_bool "one-lane product exact" true
+        (exact pair (T.Matmul_circuit.run_batch built [| pair |]).(0)))
+    pairs;
+  S.check_bool "multi-lane products exact" true
+    (Array.for_all2 exact pairs (T.Matmul_circuit.run_batch built pairs));
+  S.check_bool "29-bit entries refused" true
+    (Result.is_error (Cc.find_or_build cc { spec with P.entry_bits = 29 }))
+
 (* Interleaved lookups over more specs than capacity: eviction order
    follows recency (not insertion), counters stay exact, and a rebuilt
    evicted entry is indistinguishable from the original — same packed
@@ -992,6 +1033,8 @@ let () =
         [
           Alcotest.test_case "hits" `Quick test_circuit_cache_hits;
           Alcotest.test_case "rejects" `Quick test_circuit_cache_rejects;
+          Alcotest.test_case "widest entries exact" `Quick
+            test_circuit_cache_widest_entries;
           Alcotest.test_case "interleaved eviction" `Quick
             test_circuit_cache_interleaved_eviction;
         ] );

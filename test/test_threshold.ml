@@ -795,10 +795,8 @@ let prop_packed_matches_reference =
     (fun seed ->
       let c, input, _ = random_packed_circuit seed in
       let r_ref = Simulator.run ~check:true c input in
-      let p = Packed.of_circuit c in
-      let r_seq = Packed.run p input in
-      let r_chk = Packed.run ~check:true p input in
-      same_result r_ref r_seq && same_result r_ref r_chk
+      let r_seq = Packed.run (Packed.of_circuit c) input in
+      same_result r_ref r_seq
       && Array.fold_left ( + ) 0 r_seq.Simulator.level_firings
          = r_seq.Simulator.firings)
 
@@ -828,13 +826,13 @@ let prop_packed_batch_matches_reference =
 (* Incremental sessions: every intermediate state of a random flip
    sequence must match a from-scratch run exactly — outputs, firings,
    level_firings, and every wire value. *)
-let session_agrees ~check c input rng =
+let session_agrees c input rng =
   let p = Packed.of_circuit c in
-  let ss = Packed.session ~check p input in
+  let ss = Packed.session p input in
   let current = Array.copy input in
   let n = Array.length input in
   let steps = 1 + Tcmm_util.Prng.int rng ~bound:8 in
-  let ok = ref (same_result (Packed.run ~check p current) (Packed.session_result ss)) in
+  let ok = ref (same_result (Packed.run p current) (Packed.session_result ss)) in
   for _ = 1 to steps do
     let k = 1 + Tcmm_util.Prng.int rng ~bound:(max n 1) in
     let delta =
@@ -849,7 +847,7 @@ let session_agrees ~check c input rng =
     in
     Array.iter (fun (i, v) -> current.(i) <- v) delta;
     let r_inc = Packed.update ss delta in
-    let r_full = Packed.run ~check p current in
+    let r_full = Packed.run p current in
     ok := !ok && same_result r_full r_inc;
     ok := !ok && Packed.session_inputs ss = current
   done;
@@ -861,15 +859,7 @@ let prop_packed_session_matches_full =
     (fun seed ->
       let c, input, rng = random_packed_circuit seed in
       if c.Circuit.num_inputs = 0 then true
-      else session_agrees ~check:false c input rng)
-
-let prop_packed_session_checked_matches_full =
-  S.qcheck_case ~count:60 "checked incremental update = from-scratch run"
-    QCheck2.Gen.(int_range 0 1000000)
-    (fun seed ->
-      let c, input, rng = random_packed_circuit seed in
-      if c.Circuit.num_inputs = 0 then true
-      else session_agrees ~check:true c input rng)
+      else session_agrees c input rng)
 
 let test_packed_session_rejects_bad_delta () =
   let b = Builder.create () in
@@ -880,10 +870,22 @@ let test_packed_session_rejects_bad_delta () =
   Builder.output b g;
   let p = Packed.of_circuit (Builder.finalize b) in
   let ss = Packed.session p [| false; false |] in
-  (try
-     ignore (Packed.update ss [| (2, true) |]);
-     Alcotest.fail "expected invalid_arg"
-   with Invalid_argument _ -> ());
+  let rejected delta =
+    try
+      ignore (Packed.update ss delta);
+      Alcotest.fail "expected invalid_arg"
+    with Invalid_argument _ -> ()
+  in
+  rejected [| (2, true) |];
+  (* Valid entries ahead of a bad index must not be half-applied: the
+     whole delta is refused and the session is left exactly as it was. *)
+  rejected [| (0, true); (1, true); (2, true) |];
+  S.check_bool "inputs unchanged" true
+    (Packed.session_inputs ss = [| false; false |]);
+  S.check_int "rejected deltas are not updates" 0
+    (Packed.session_stats ss).Packed.su_updates;
+  S.check_bool "next update = from-scratch run" true
+    (same_result (Packed.run p [| false; false |]) (Packed.update ss [||]));
   (* Flip-then-unflip in one delta: a structural no-op. *)
   let r = Packed.update ss [| (0, true); (0, false) |] in
   S.check_bool "no-op outputs" true (r.Simulator.outputs = [| false |]);
@@ -1054,37 +1056,82 @@ let test_packed_zero_gates () =
   S.check_int "batch lanes" 2 (Packed.lanes br);
   S.check_int "batch firings" 0 (Packed.batch_firings br ~lane:1)
 
-(* Every engine must trap the same wrap-around under ~check:true. *)
+(* The weight-mass bound at its edges, for both signs.  A segment whose
+   positive (or negative) mass is exactly [max_int] packs, through
+   [of_circuit] and through a Direct-mode arena, survives a save/load
+   round trip, and every packed evaluator matches the overflow-checked
+   reference on every input.  One more unit of mass is refused by both
+   constructors.  A sum that really wraps still traps in the checked
+   reference, and that circuit is refused too. *)
 let test_packed_overflow_all_engines () =
-  let big = max_int / 2 in
-  let b = Builder.create () in
-  let ins = Builder.add_inputs b 3 in
-  let _ =
-    Builder.add_gate b ~inputs:ins ~weights:[| big; big; big |] ~threshold:1
+  let third = max_int / 3 in
+  S.check_int "max_int splits in three" max_int (3 * third);
+  let build mode weights thresholds =
+    let b = Builder.create ~mode () in
+    let ins = Builder.add_inputs b (Array.length weights) in
+    Array.iter (Builder.output b)
+      (Builder.add_shared_gates b ~inputs:ins ~weights ~thresholds);
+    b
   in
-  let c = Builder.finalize b in
-  let input = [| true; true; true |] in
-  let p = Packed.of_circuit c in
-  let traps name f =
-    try
-      ignore (f ());
-      Alcotest.fail (name ^ ": expected Checked.Overflow")
-    with Tcmm_util.Checked.Overflow _ -> ()
+  let circuit weights thresholds =
+    Builder.finalize (build Builder.Materialize weights thresholds)
   in
-  traps "reference" (fun () -> Simulator.run ~check:true c input);
-  traps "packed seq" (fun () -> Packed.run ~check:true p input);
-  traps "packed batch" (fun () ->
-      Packed.run_batch ~check:true p [| input; input |]);
-  traps "packed one-lane batch" (fun () ->
-      Packed.run_batch ~check:true p [| input |]);
-  (* Unchecked evaluation still agrees with the (wrapping) reference,
-     the grouped one-lane sum included. *)
-  let r = Simulator.run c input in
-  S.check_bool "unchecked agrees" true (same_result r (Packed.run p input));
-  let one = Packed.run_batch p [| input |] in
-  S.check_bool "unchecked one lane agrees" true
-    (Packed.batch_level_firings one ~lane:0 = r.Simulator.level_firings
-    && Simulator.value r 3 = Packed.batch_value one ~lane:0 3)
+  let of_arena weights thresholds () =
+    Packed.of_arena (Builder.arena (build Builder.Direct weights thresholds))
+  in
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: packed" name
+    | exception Invalid_argument _ -> ()
+  in
+  let agrees name p c =
+    let inputs = Array.of_list (S.all_inputs c.Circuit.num_inputs) in
+    let br = Packed.run_batch p inputs in
+    let ss = Packed.session p inputs.(0) in
+    Array.iteri
+      (fun lane input ->
+        let r = Simulator.run ~check:true c input in
+        let one = Packed.run_batch p [| input |] in
+        let batch_ok br lane =
+          Packed.batch_outputs br ~lane = r.Simulator.outputs
+          && Packed.batch_level_firings br ~lane = r.Simulator.level_firings
+        in
+        S.check_bool (name ^ ": run") true (same_result r (Packed.run p input));
+        S.check_bool (name ^ ": batch lane") true (batch_ok br lane);
+        S.check_bool (name ^ ": one-lane batch") true (batch_ok one 0);
+        let delta = Array.mapi (fun i v -> (i, v)) input in
+        S.check_bool (name ^ ": session") true
+          (same_result r (Packed.update ss delta)))
+      inputs
+  in
+  List.iter
+    (fun sign ->
+      let name = if sign > 0 then "positive" else "negative" in
+      (* Thresholds at and next to the extreme sum [sign * max_int]. *)
+      let ths =
+        if sign > 0 then [| max_int - 1; max_int |]
+        else [| -max_int; 1 - max_int |]
+      in
+      let exact = Array.make 3 (sign * third) in
+      let c = circuit exact ths in
+      let p = Packed.of_circuit c in
+      agrees (name ^ " of_circuit") p c;
+      agrees (name ^ " of_arena") (of_arena exact ths ()) c;
+      (match Packed.load (Packed.save p) with
+      | Ok p' -> agrees (name ^ " loaded") p' c
+      | Error m -> Alcotest.failf "%s: exact mass refused by load: %s" name m);
+      let over = Array.append exact [| sign |] in
+      refused (name ^ " of_circuit, one unit over") (fun () ->
+          Packed.of_circuit (circuit over ths));
+      refused (name ^ " of_arena, one unit over") (of_arena over ths);
+      let c = circuit (Array.make 3 (sign * (max_int / 2))) [| sign |] in
+      (try
+         ignore (Simulator.run ~check:true c [| true; true; true |]);
+         Alcotest.failf "%s: reference did not trap" name
+       with Tcmm_util.Checked.Overflow _ -> ());
+      refused (name ^ " of_circuit, wrapping sum") (fun () ->
+          Packed.of_circuit c))
+    [ 1; -1 ]
 
 (* [--profile-eval] reads these counters: a lone lane (the scalar walk)
    must count as a batch and fill every level's time like a kernel
@@ -1178,6 +1225,16 @@ let test_packed_load_rejects_hostile_sections () =
     [ 1; max_int ];
   refused "table entry that does not decode"
     { s with Packed.sec_kern_table = [| 99 |] };
+  (* Group 0 holds three edges: a weight of max_int / 2 puts the
+     segment's positive mass past max_int. *)
+  refused "weight mass past max_int"
+    {
+      s with
+      Packed.sec_grp_weight =
+        Array.mapi
+          (fun g w -> if g = 0 then max_int / 2 else w)
+          s.Packed.sec_grp_weight;
+    };
   (* Wire ids are int32: a gateless circuit is otherwise valid at any
      input count, so only the wire-count bound refuses one past 2^31. *)
   let b0 = Builder.create () in
@@ -1327,6 +1384,5 @@ let () =
           Alcotest.test_case "session delta validation" `Quick
             test_packed_session_rejects_bad_delta;
           prop_packed_session_matches_full;
-          prop_packed_session_checked_matches_full;
         ] );
     ]
