@@ -728,7 +728,7 @@ let e24 ?(ns = [ 8; 16; 32 ]) () =
                   ~algo:F.Instances.strassen ~schedule:sched ~entry_bits:1 ~n
                   ()
               in
-              (built, T.Matmul_circuit.pack ~kernels:true built))
+              (built, T.Matmul_circuit.pack built))
         in
         let key =
           Printf.sprintf "matmul|strassen|thm45|d=2|n=%d|b=1|signed=false|tau=0"
@@ -1094,10 +1094,13 @@ let e26 ?(updates = 32) ?(verify_updates = 12)
     done;
     (r, !tmin)
   in
-  let built = Lazy.force shared_tr16 in
-  let packed, t_pack =
-    time (fun () -> T.Trace_circuit.pack ~kernels:true built)
+  (* A Direct build of its own, as the server makes one: [shared_tr16]
+     is materialized, and its packed form dispatches no kernels. *)
+  let built =
+    T.Trace_circuit.build ~mode:Th.Builder.Direct ~algo:F.Instances.strassen
+      ~schedule:sched16 ~entry_bits:1 ~tau:100 ~n ()
   in
+  let packed, t_pack = time (fun () -> T.Trace_circuit.pack built) in
   let layout = built.T.Trace_circuit.layout in
   let gates = Th.Packed.num_gates packed in
   let rng = Tcmm_util.Prng.create ~seed:26 in

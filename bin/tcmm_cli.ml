@@ -75,28 +75,11 @@ let engine_term =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:"Evaluator: $(b,packed) (levelized, default) or $(b,reference).")
 
-let no_templates_term =
-  Arg.(
-    value & flag
-    & info [ "no-templates" ]
-        ~doc:
-          "Disable template-stamped construction: build gate by gate through \
-           the legacy builder and pack from the materialized circuit.")
-
 let profile_build_term =
   Arg.(
     value & flag
     & info [ "profile-build" ]
         ~doc:"Print the construct / stamp / lower phase breakdown of each build.")
-
-let no_kernels_term =
-  Arg.(
-    value & flag
-    & info [ "no-kernels" ]
-        ~doc:
-          "Disable the template-specialized evaluation kernels: every segment \
-           runs through the generic CSR loop (bit-identical results, only \
-           slower).")
 
 let kronpow_term =
   Arg.(
@@ -179,16 +162,10 @@ let stats_cmd =
     Term.(const run $ algo_term $ n_term $ d_term $ bits_term $ schedule_term)
 
 let verify_cmd =
-  let run algo n d bits sched seed engine no_templates profile no_kernels
-      profile_eval =
-    let templates = not no_templates in
-    let kernels = not no_kernels in
-    (* With templates on the build goes straight to the packed CSR form
-       (Direct mode); without them it materializes gate by gate. *)
-    let mode =
-      if templates then Tcmm_threshold.Builder.Direct
-      else Tcmm_threshold.Builder.Materialize
-    in
+  let run algo n d bits sched seed engine profile profile_eval =
+    (* The build goes straight to the packed CSR form (Direct mode); the
+       reference engine interprets the lazily materialized circuit. *)
+    let mode = Tcmm_threshold.Builder.Direct in
     let profile_phases name builder ~construct ~lower =
       if profile then begin
         let ts = Tcmm_threshold.Builder.template_stats builder in
@@ -209,11 +186,11 @@ let verify_cmd =
       algo.F.Bilinear.name T.Level_schedule.pp schedule;
     let t0 = Unix.gettimeofday () in
     let built =
-      T.Matmul_circuit.build ~mode ~templates ~algo ~schedule ~signed_inputs:true
+      T.Matmul_circuit.build ~mode ~algo ~schedule ~signed_inputs:true
         ~entry_bits:bits ~n ()
     in
     let t1 = Unix.gettimeofday () in
-    let packed = T.Matmul_circuit.pack ~kernels built in
+    let packed = T.Matmul_circuit.pack built in
     let t2 = Unix.gettimeofday () in
     profile_phases "matmul" built.T.Matmul_circuit.builder ~construct:(t1 -. t0)
       ~lower:(t2 -. t1);
@@ -275,11 +252,11 @@ let verify_cmd =
     let expect = T.Trace_circuit.reference m in
     let t0 = Unix.gettimeofday () in
     let trace =
-      T.Trace_circuit.build ~mode ~templates ~algo ~schedule ~entry_bits:bits
-        ~tau:expect ~n ()
+      T.Trace_circuit.build ~mode ~algo ~schedule ~entry_bits:bits ~tau:expect
+        ~n ()
     in
     let t1 = Unix.gettimeofday () in
-    let (_ : Tcmm_threshold.Packed.t) = T.Trace_circuit.pack ~kernels trace in
+    let (_ : Tcmm_threshold.Packed.t) = T.Trace_circuit.pack trace in
     let t2 = Unix.gettimeofday () in
     profile_phases "trace" trace.T.Trace_circuit.builder ~construct:(t1 -. t0)
       ~lower:(t2 -. t1);
@@ -294,8 +271,7 @@ let verify_cmd =
     (Cmd.info "verify" ~doc:"Build circuits and check them against integer references.")
     Term.(
       const run $ algo_term $ n_term $ d_term $ bits_term $ schedule_term $ seed_term
-      $ engine_term $ no_templates_term $ profile_build_term $ no_kernels_term
-      $ profile_eval_term)
+      $ engine_term $ profile_build_term $ profile_eval_term)
 
 let triangles_cmd =
   let run n d p tau seed engine graphs =
@@ -375,7 +351,7 @@ let triangles_cmd =
 (* The streaming edge-flip scenario: hold a graph, send flips, and
    re-answer the triangle threshold query incrementally — locally
    through a [Packed.session], or against a running daemon's stateful
-   protocol-v6 session. *)
+   session. *)
 let stream_cmd =
   let run n d p tau seed updates flips_per_update addr =
     let rng = Tcmm_util.Prng.create ~seed in
@@ -526,7 +502,7 @@ let stream_cmd =
     (Cmd.info "stream"
        ~doc:
          "Stream random edge flips through an incremental dirty-cone \
-          session — local, or against a serving daemon (protocol v6) with \
+          session — local, or against a serving daemon with \
           $(b,--addr).  Exits 1 if any update disagrees with the exact \
           triangle count.")
     Term.(
@@ -600,8 +576,8 @@ let addr_term =
         ~doc:"Server address: $(b,HOST:PORT) for TCP, anything else is a Unix socket path.")
 
 let serve_cmd =
-  let run addr cache lanes flush no_templates profile no_kernels profile_eval
-      max_pending deadline grace store workers reuseport control verbose =
+  let run addr cache lanes flush profile profile_eval max_pending deadline grace
+      store workers reuseport control verbose =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info));
     match P.parse_addr addr with
@@ -615,8 +591,6 @@ let serve_cmd =
             cache_capacity = cache;
             flush_ms = flush;
             max_lanes = lanes;
-            templates = not no_templates;
-            kernels = not no_kernels;
             profile_build = profile;
             profile_eval;
             max_pending;
@@ -744,8 +718,7 @@ let serve_cmd =
          "Serve compiled circuits over a socket with caching and request coalescing.")
     Term.(
       const run $ addr_term $ cache_term $ lanes_term $ flush_term
-      $ no_templates_term $ profile_build_term $ no_kernels_term
-      $ profile_eval_term $ pending_term $ deadline_term
+      $ profile_build_term $ profile_eval_term $ pending_term $ deadline_term
       $ grace_term $ store_term $ workers_term $ reuseport_term $ control_term
       $ verbose_term)
 
@@ -946,7 +919,7 @@ let request_cmd =
 
 (* Served convolutional inference: draw a deterministic image/kernel
    workload, ship it to a running daemon as im2col jobs over the matmul
-   circuit (protocol v7 [Run_conv]), and demand every returned score
+   circuit ([Run_conv]), and demand every returned score
    plane be bit-identical to the direct convolution computed locally. *)
 let infer_cmd =
   let module Cn = Tcmm_convnet in
@@ -1252,8 +1225,7 @@ let store_dir_term =
    (or another `compile`) finds the artifacts warm.  A spec already in
    the store is loaded (and verified) rather than rebuilt. *)
 let compile_cmd =
-  let run store_dir what algo ns d bits sched signed tau kronpow no_templates
-      no_kernels verbose =
+  let run store_dir what algo ns d bits sched signed tau kronpow verbose =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning));
     let kind =
@@ -1262,15 +1234,12 @@ let compile_cmd =
       | "triangles" -> P.Triangles
       | _ -> P.Matmul
     in
-    match Tcmm_store.Store.create ~kernels:(not no_kernels) ~dir:store_dir () with
+    match Tcmm_store.Store.create ~dir:store_dir () with
     | Error msg ->
         Format.eprintf "tcmm compile: %s@." msg;
         1
     | Ok store ->
-        let cc =
-          Tcmm_server.Circuit_cache.create ~templates:(not no_templates)
-            ~kernels:(not no_kernels) ~store ~capacity:1 ()
-        in
+        let cc = Tcmm_server.Circuit_cache.create ~store ~capacity:1 () in
         let failures = ref 0 in
         List.iter
           (fun n ->
@@ -1332,7 +1301,7 @@ let compile_cmd =
     Term.(
       const run $ store_dir_term $ what_term $ algo_term $ ns_term $ d_term
       $ bits_term $ schedule_term $ signed_term $ tau_term $ kronpow_term
-      $ no_templates_term $ no_kernels_term $ verbose_term)
+      $ verbose_term)
 
 let artifacts_cmd =
   let module A = Tcmm_store.Artifact in

@@ -50,7 +50,7 @@ val check_server : Tcmm_server.Client.t -> Case.t -> (unit, string) result
 val check_server_incremental :
   Tcmm_server.Client.t -> Case.t -> (unit, string) result
 (** One incremental trial through a live server's stateful session
-    (protocol v6 [Open_session] / [Update]): the session's output bit
+    ([Open_session] / [Update]): the session's output bit
     and firing count after every flip batch must match a local
     from-scratch packed evaluation.  The session is closed on exit. *)
 

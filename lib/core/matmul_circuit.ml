@@ -10,7 +10,6 @@ type built = {
   layout_b : Encode.t;
   c_grid : Repr.signed_bits array array;
   schedule : Level_schedule.t;
-  cache : Engine.cache;
 }
 
 let build ?(mode = Builder.Materialize) ?(templates = true)
@@ -42,8 +41,7 @@ let build ?(mode = Builder.Materialize) ?(templates = true)
     | Builder.Materialize -> Some (Builder.finalize b)
     | Builder.Count_only | Builder.Direct -> None
   in
-  { builder = b; circuit; packed = None; layout_a; layout_b; c_grid; schedule;
-    cache = Engine.shared () }
+  { builder = b; circuit; packed = None; layout_a; layout_b; c_grid; schedule }
 
 let encode_inputs built ~a ~b =
   let input =
@@ -53,48 +51,40 @@ let encode_inputs built ~a ~b =
   Encode.write built.layout_b b input;
   input
 
-let pack ?kernels built =
+let pack built =
   match built.packed with
   | Some p -> p
   | None ->
       let p =
-        match built.circuit with
-        | Some c -> Engine.packed built.cache c
-        | None -> (
-            match Builder.mode built.builder with
-            | Builder.Direct ->
-                Packed.of_arena ?kernels (Builder.arena built.builder)
-            | _ ->
-                invalid_arg
-                  "Matmul_circuit: circuit was built in Count_only mode")
+        match (built.circuit, Builder.mode built.builder) with
+        | Some c, _ -> Packed.of_circuit c
+        | None, Builder.Direct -> Packed.of_arena (Builder.arena built.builder)
+        | None, _ ->
+            invalid_arg "Matmul_circuit: circuit was built in Count_only mode"
       in
       built.packed <- Some p;
       p
+
+(* The reference interpreter reads the builder's own circuit when there
+   is one, so a Materialize build's reference leg never goes through
+   the packed compiler. *)
+let simulate ?(engine = Simulator.Packed) built inputs =
+  match (engine, built.circuit) with
+  | Simulator.Reference, Some c -> Simulator.run c inputs
+  | Simulator.Reference, None -> Simulator.run (Packed.circuit (pack built)) inputs
+  | Simulator.Packed, _ -> Packed.run (pack built) inputs
 
 let decode built read =
   let n = Array.length built.c_grid in
   Matrix.init ~rows:n ~cols:n (fun i j -> Repr.eval_sbits read built.c_grid.(i).(j))
 
 let run ?engine built ~a ~b =
-  let inputs = encode_inputs built ~a ~b in
-  let r =
-    match built.circuit with
-    | Some c -> Engine.run ?engine built.cache c inputs
-    | None -> (
-        match engine with
-        | Some Simulator.Reference ->
-            Simulator.run (Packed.circuit (pack built)) inputs
-        | _ -> Packed.run (pack built) inputs)
-  in
+  let r = simulate ?engine built (encode_inputs built ~a ~b) in
   decode built (Simulator.value r)
 
 let run_batch built pairs =
   let batch = Array.map (fun (a, b) -> encode_inputs built ~a ~b) pairs in
-  let br =
-    match built.circuit with
-    | Some c -> Engine.run_batch built.cache c batch
-    | None -> Packed.run_batch (pack built) batch
-  in
+  let br = Packed.run_batch (pack built) batch in
   Array.init (Array.length pairs) (fun lane ->
       decode built (Packed.batch_value br ~lane))
 

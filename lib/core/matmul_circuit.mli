@@ -22,7 +22,6 @@ type built = {
   layout_b : Encode.t;
   c_grid : Repr.signed_bits array array;  (** binary entries of [C] *)
   schedule : Level_schedule.t;
-  cache : Engine.cache;  (** memoized packed compilation of [circuit] *)
 }
 
 val build :
@@ -49,11 +48,13 @@ val build :
     gates+edges, but not wire-identical and up to 2 extra depth per
     multi-level step.  The W-side {!Combine_tree} is left flat. *)
 
-val pack : ?kernels:bool -> built -> Packed.t
-(** The compiled evaluator form, memoized on [built]: the engine-cache
-    compilation of [circuit] in [Materialize] mode, a direct
-    {!Packed.of_arena} lowering in [Direct] mode.  Raises
-    [Invalid_argument] in [Count_only] mode. *)
+val pack : built -> Packed.t
+(** The compiled evaluator form, memoized on [built]: a
+    {!Packed.of_arena} lowering with kernel dispatch in [Direct] mode,
+    the all-generic {!Packed.of_circuit} compilation of [circuit] in
+    [Materialize] mode.  Raises [Invalid_argument] in [Count_only]
+    mode.  For the generic arm of a Direct build, call
+    [Packed.of_arena ~kernels:false (Builder.arena built.builder)]. *)
 
 val encode_inputs : built -> a:Tcmm_fastmm.Matrix.t -> b:Tcmm_fastmm.Matrix.t -> bool array
 
@@ -70,8 +71,9 @@ val run :
   Tcmm_fastmm.Matrix.t
 (** Simulate and decode [C].  Works in [Materialize] and [Direct] modes
     (raises [Invalid_argument] in [Count_only]).  [engine] defaults to
-    the packed evaluator ({!Tcmm_threshold.Packed}), compiled once per
-    [built] value. *)
+    the packed evaluator ({!Tcmm_threshold.Packed}) on {!pack}'s
+    memoized form; [Reference] interprets the materialized circuit
+    (lazily materialized from the packed form in [Direct] mode). *)
 
 val run_batch :
   built -> (Tcmm_fastmm.Matrix.t * Tcmm_fastmm.Matrix.t) array -> Tcmm_fastmm.Matrix.t array

@@ -2,6 +2,18 @@ open Tcmm_threshold
 open Tcmm_arith
 module Matrix = Tcmm_fastmm.Matrix
 
+(* Shared by the three drivers: [circuit] is [None] outside
+   [Materialize] mode, and [packed] compiles it on first use. *)
+let simulate ?(engine = Simulator.Packed) ~what circuit packed input =
+  match circuit with
+  | None -> invalid_arg (what ^ ": Count_only mode")
+  | Some c -> (
+      match engine with
+      | Simulator.Reference -> Simulator.run c input
+      | Simulator.Packed -> Packed.run (Lazy.force packed) input)
+
+let compile circuit = lazy (Packed.of_circuit (Option.get circuit))
+
 (* ------------------------------------------------------------------ *)
 (* Triangle threshold (paper, Section 1)                              *)
 (* ------------------------------------------------------------------ *)
@@ -12,7 +24,7 @@ type triangle_built = {
   output : Wire.t;
   n : int;
   tau : int;
-  cache : Engine.cache;
+  packed : Packed.t Lazy.t;
 }
 
 (* Edge variable x_ij (i < j) position in lexicographic order. *)
@@ -49,7 +61,7 @@ let triangle_threshold ?(mode = Builder.Materialize) ~n ~tau () =
     | Builder.Materialize -> Some (Builder.finalize b)
     | Builder.Count_only | Builder.Direct -> None
   in
-  { builder = b; circuit; output; n; tau; cache = Engine.shared () }
+  { builder = b; circuit; output; n; tau; packed = compile circuit }
 
 let triangle_encode built m =
   let n = built.n in
@@ -68,11 +80,9 @@ let triangle_encode built m =
   input
 
 let triangle_run ?engine built m =
-  match built.circuit with
-  | None -> invalid_arg "triangle_run: Count_only mode"
-  | Some c ->
-      (Engine.run ?engine built.cache c (triangle_encode built m))
-        .Simulator.outputs.(0)
+  (simulate ?engine ~what:"triangle_run" built.circuit built.packed
+     (triangle_encode built m))
+    .Simulator.outputs.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Naive trace threshold                                              *)
@@ -85,7 +95,7 @@ type trace_built = {
   trace_repr : Repr.signed;
   layout : Encode.t;
   tau : int;
-  cache : Engine.cache;
+  packed : Packed.t Lazy.t;
 }
 
 let trace_threshold ?(mode = Builder.Materialize) ?(templates = true)
@@ -110,15 +120,12 @@ let trace_threshold ?(mode = Builder.Materialize) ?(templates = true)
     | Builder.Count_only | Builder.Direct -> None
   in
   { builder = b; circuit; output; trace_repr; layout; tau;
-    cache = Engine.shared () }
+    packed = compile circuit }
 
 let trace_simulate ?engine built m =
-  match built.circuit with
-  | None -> invalid_arg "trace_run: Count_only mode"
-  | Some c ->
-      let input = Array.make (Encode.total_wires built.layout) false in
-      Encode.write built.layout m input;
-      Engine.run ?engine built.cache c input
+  let input = Array.make (Encode.total_wires built.layout) false in
+  Encode.write built.layout m input;
+  simulate ?engine ~what:"trace_run" built.circuit built.packed input
 
 let trace_run ?engine built m =
   (trace_simulate ?engine built m).Simulator.outputs.(0)
@@ -138,7 +145,7 @@ type matmul_built = {
   layout_a : Encode.t;
   layout_b : Encode.t;
   c_grid : Repr.signed_bits array array;
-  cache : Engine.cache;
+  packed : Packed.t Lazy.t;
 }
 
 let matmul ?(mode = Builder.Materialize) ?(templates = true)
@@ -166,8 +173,7 @@ let matmul ?(mode = Builder.Materialize) ?(templates = true)
     | Builder.Materialize -> Some (Builder.finalize b)
     | Builder.Count_only | Builder.Direct -> None
   in
-  { builder = b; circuit; layout_a; layout_b; c_grid;
-    cache = Engine.shared () }
+  { builder = b; circuit; layout_a; layout_b; c_grid; packed = compile circuit }
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form statistics                                             *)
@@ -220,17 +226,14 @@ let matmul_counts ?(signed_inputs = false) ~entry_bits ~n () =
   (Checked.mul entries (fst per_entry), Checked.mul entries (snd per_entry))
 
 let matmul_run ?engine built ~a ~b =
-  match built.circuit with
-  | None -> invalid_arg "matmul_run: Count_only mode"
-  | Some c ->
-      let input =
-        Array.make
-          (Encode.total_wires built.layout_a + Encode.total_wires built.layout_b)
-          false
-      in
-      Encode.write built.layout_a a input;
-      Encode.write built.layout_b b input;
-      let r = Engine.run ?engine built.cache c input in
-      let n = Array.length built.c_grid in
-      Matrix.init ~rows:n ~cols:n (fun i j ->
-          Repr.eval_sbits (Simulator.value r) built.c_grid.(i).(j))
+  let input =
+    Array.make
+      (Encode.total_wires built.layout_a + Encode.total_wires built.layout_b)
+      false
+  in
+  Encode.write built.layout_a a input;
+  Encode.write built.layout_b b input;
+  let r = simulate ?engine ~what:"matmul_run" built.circuit built.packed input in
+  let n = Array.length built.c_grid in
+  Matrix.init ~rows:n ~cols:n (fun i j ->
+      Repr.eval_sbits (Simulator.value r) built.c_grid.(i).(j))

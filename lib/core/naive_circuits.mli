@@ -19,7 +19,7 @@ type triangle_built = {
   output : Wire.t;
   n : int;
   tau : int;
-  cache : Engine.cache;
+  packed : Packed.t Lazy.t;  (** {!Packed.of_circuit} of [circuit], on first use *)
 }
 
 val triangle_threshold : ?mode:Builder.mode -> n:int -> tau:int -> unit -> triangle_built
@@ -40,7 +40,7 @@ type trace_built = {
   trace_repr : Repr.signed;
   layout : Encode.t;
   tau : int;
-  cache : Engine.cache;
+  packed : Packed.t Lazy.t;  (** {!Packed.of_circuit} of [circuit], on first use *)
 }
 
 val trace_threshold :
@@ -65,7 +65,7 @@ type matmul_built = {
   layout_a : Encode.t;
   layout_b : Encode.t;
   c_grid : Repr.signed_bits array array;
-  cache : Engine.cache;
+  packed : Packed.t Lazy.t;  (** {!Packed.of_circuit} of [circuit], on first use *)
 }
 
 val matmul :

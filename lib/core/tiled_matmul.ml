@@ -10,7 +10,7 @@ type built = {
   layout_b : Encode.t;
   c_grid : Repr.signed_bits array array;
   block : int;
-  cache : Engine.cache;
+  packed : Packed.t Lazy.t;
 }
 
 let round_up v ~block = (v + block - 1) / block * block
@@ -85,9 +85,9 @@ let build ?(mode = Builder.Materialize) ?(templates = true)
     | Builder.Count_only | Builder.Direct -> None
   in
   { builder = b; circuit; layout_a; layout_b; c_grid; block;
-    cache = Engine.shared () }
+    packed = lazy (Packed.of_circuit (Option.get circuit)) }
 
-let run ?engine built ~a ~b =
+let run ?(engine = Simulator.Packed) built ~a ~b =
   match built.circuit with
   | None -> invalid_arg "Tiled_matmul.run: circuit was not materialized"
   | Some c ->
@@ -98,7 +98,11 @@ let run ?engine built ~a ~b =
       in
       Encode.write built.layout_a a input;
       Encode.write built.layout_b b input;
-      let r = Engine.run ?engine built.cache c input in
+      let r =
+        match engine with
+        | Simulator.Reference -> Simulator.run c input
+        | Simulator.Packed -> Packed.run (Lazy.force built.packed) input
+      in
       Matrix.init
         ~rows:(Array.length built.c_grid)
         ~cols:(Array.length built.c_grid.(0))

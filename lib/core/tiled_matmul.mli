@@ -27,7 +27,9 @@ type built = {
   layout_b : Encode.t;  (** [inner x cols] *)
   c_grid : Repr.signed_bits array array;  (** [rows x cols] *)
   block : int;
-  cache : Engine.cache;  (** memoized packed compilation of [circuit] *)
+  packed : Packed.t Lazy.t;
+      (** {!Packed.of_circuit} of [circuit], compiled on the first
+          packed {!run} *)
 }
 
 val round_up : int -> block:int -> int

@@ -11,7 +11,6 @@ type built = {
   layout : Encode.t;
   schedule : Level_schedule.t;
   tau : int;
-  cache : Engine.cache;
 }
 
 let build_internal ~mode ~templates ~signed_inputs ?share_top ?kronpow
@@ -54,7 +53,7 @@ let build_internal ~mode ~templates ~signed_inputs ?share_top ?kronpow
     | Builder.Count_only | Builder.Direct -> None
   in
   ( { builder = b; circuit; packed = None; output; trace_repr; layout; schedule;
-      tau; cache = Engine.shared () },
+      tau },
     value )
 
 let build ?(mode = Builder.Materialize) ?(templates = true)
@@ -116,7 +115,6 @@ let build_staged ?(mode = Builder.Materialize) ?(templates = true)
     layout;
     schedule = Level_schedule.direct ~l;
     tau;
-    cache = Engine.shared ();
   }
 
 let encode_input built m =
@@ -124,45 +122,35 @@ let encode_input built m =
   Encode.write built.layout m input;
   input
 
-let pack ?kernels built =
+let pack built =
   match built.packed with
   | Some p -> p
   | None ->
       let p =
-        match built.circuit with
-        | Some c -> Engine.packed built.cache c
-        | None -> (
-            match Builder.mode built.builder with
-            | Builder.Direct ->
-                Packed.of_arena ?kernels (Builder.arena built.builder)
-            | _ ->
-                invalid_arg
-                  "Trace_circuit: circuit was built in Count_only mode")
+        match (built.circuit, Builder.mode built.builder) with
+        | Some c, _ -> Packed.of_circuit c
+        | None, Builder.Direct -> Packed.of_arena (Builder.arena built.builder)
+        | None, _ ->
+            invalid_arg "Trace_circuit: circuit was built in Count_only mode"
       in
       built.packed <- Some p;
       p
 
-let simulate ?engine built m =
+(* As in [Matmul_circuit]: the reference leg of a Materialize build
+   reads the builder's own circuit, never the packed compiler's. *)
+let simulate ?(engine = Simulator.Packed) built m =
   let inputs = encode_input built m in
-  match built.circuit with
-  | Some c -> Engine.run ?engine built.cache c inputs
-  | None -> (
-      match engine with
-      | Some Simulator.Reference ->
-          Simulator.run (Packed.circuit (pack built)) inputs
-      | _ -> Packed.run (pack built) inputs)
+  match (engine, built.circuit) with
+  | Simulator.Reference, Some c -> Simulator.run c inputs
+  | Simulator.Reference, None -> Simulator.run (Packed.circuit (pack built)) inputs
+  | Simulator.Packed, _ -> Packed.run (pack built) inputs
 
 let run ?engine built m =
   let r = simulate ?engine built m in
   r.Simulator.outputs.(0)
 
 let run_batch built ms =
-  let batch = Array.map (encode_input built) ms in
-  let br =
-    match built.circuit with
-    | Some c -> Engine.run_batch built.cache c batch
-    | None -> Packed.run_batch (pack built) batch
-  in
+  let br = Packed.run_batch (pack built) (Array.map (encode_input built) ms) in
   Array.init (Array.length ms) (fun lane -> (Packed.batch_outputs br ~lane).(0))
 
 let trace_value ?engine built m =

@@ -28,7 +28,6 @@ type built = {
   layout : Encode.t;
   schedule : Level_schedule.t;
   tau : int;
-  cache : Engine.cache;  (** memoized packed compilation of [circuit] *)
 }
 
 val build :
@@ -57,11 +56,12 @@ val build :
     faster construction.  [n] must equal [T^L] for the schedule's final
     level [L]. *)
 
-val pack : ?kernels:bool -> built -> Packed.t
-(** The compiled evaluator form, memoized on [built]: the engine-cache
-    compilation of [circuit] in [Materialize] mode, a direct
-    {!Packed.of_arena} lowering in [Direct] mode.  Raises
-    [Invalid_argument] in [Count_only] mode. *)
+val pack : built -> Packed.t
+(** The compiled evaluator form, memoized on [built]: a
+    {!Packed.of_arena} lowering with kernel dispatch in [Direct] mode,
+    the all-generic {!Packed.of_circuit} compilation of [circuit] in
+    [Materialize] mode.  Raises [Invalid_argument] in [Count_only]
+    mode. *)
 
 val build_staged :
   ?mode:Builder.mode ->
@@ -87,7 +87,8 @@ val encode_input : built -> Tcmm_fastmm.Matrix.t -> bool array
 val run : ?engine:Simulator.engine -> built -> Tcmm_fastmm.Matrix.t -> bool
 (** Simulate on [A]; works in [Materialize] and [Direct] modes (raises
     [Invalid_argument] in [Count_only]).  [engine] defaults to the
-    packed evaluator, compiled once per [built] value. *)
+    packed evaluator on {!pack}'s memoized form; [Reference] interprets
+    the materialized circuit. *)
 
 val run_batch : built -> Tcmm_fastmm.Matrix.t array -> bool array
 (** Decide [trace(A^3) >= tau] for many matrices in one batched circuit

@@ -1,6 +1,7 @@
 module F = Tcmm_fastmm
 module T = Tcmm
 module Th = Tcmm_threshold
+module Clock = Tcmm_util.Clock
 
 type compiled =
   | Matmul of T.Matmul_circuit.built
@@ -25,20 +26,19 @@ type outcome = Cached | Built | Loaded
 
 type t = {
   lru : (string, entry) Tcmm_util.Lru.t;
-  templates : bool;
-  kernels : bool;
   store : Tcmm_store.Store.t option;
 }
 
-let create ?(templates = true) ?(kernels = true) ?store ~capacity () : t =
-  { lru = Tcmm_util.Lru.create ~capacity (); templates; kernels; store }
+let create ?store ~capacity () : t =
+  { lru = Tcmm_util.Lru.create ~capacity (); store }
 
 let store t = t.store
 
 (* [Conv] keys as "matmul": a served convolution runs through exactly
    the n x n matmul circuit, so both kinds share one cache entry.  The
-   kronpow flag is appended only when set, keeping pre-v7 keys (and the
-   artifact store's on-disk names) byte-identical. *)
+   kronpow flag is appended only when set, so flat builds keep the keys
+   (and the artifact store's on-disk names) they had before the flag
+   existed. *)
 let key (s : Protocol.spec) =
   Printf.sprintf "%s|%s|%s|d=%d|n=%d|b=%d|signed=%b|tau=%d%s"
     (match s.kind with
@@ -71,22 +71,21 @@ let validate (s : Protocol.spec) =
   if s.d < 1 || s.d > 32 then
     invalid_arg (Printf.sprintf "d = %d out of range [1, 32]" s.d)
 
-(* With templates the drivers build in [Direct] mode: stamped blocks go
-   straight to the packed CSR form ({!Tcmm_threshold.Packed.of_arena})
-   without ever materializing a [Circuit.t].  Without them this is the
-   legacy path — materialize, then compile through the engine cache. *)
-let build ~templates ~kernels (s : Protocol.spec) =
+(* Every served circuit is built in [Direct] mode: stamped blocks go
+   straight to the packed CSR form ({!Tcmm_threshold.Packed.of_arena}),
+   with kernel dispatch, without ever materializing a [Circuit.t]. *)
+let build (s : Protocol.spec) =
   validate s;
   let algo = algo_by_name s.algo in
   let schedule = T.Level_schedule.resolve ~algo ~name:s.schedule ~d:s.d ~n:s.n in
-  let mode = if templates then Th.Builder.Direct else Th.Builder.Materialize in
-  let t0 = Unix.gettimeofday () in
+  let mode = Th.Builder.Direct in
+  let t0 = Clock.now () in
   let compiled =
     match s.kind with
     | Protocol.Matmul | Protocol.Conv ->
         Matmul
-          (T.Matmul_circuit.build ~mode ~templates ~kronpow:s.kronpow ~algo
-             ~schedule ~signed_inputs:s.signed ~entry_bits:s.entry_bits ~n:s.n ())
+          (T.Matmul_circuit.build ~mode ~kronpow:s.kronpow ~algo ~schedule
+             ~signed_inputs:s.signed ~entry_bits:s.entry_bits ~n:s.n ())
     | Protocol.Trace | Protocol.Triangles ->
         let tau =
           match s.kind with
@@ -94,18 +93,17 @@ let build ~templates ~kernels (s : Protocol.spec) =
           | _ -> s.tau
         in
         Trace
-          (T.Trace_circuit.build ~mode ~templates ~kronpow:s.kronpow ~algo
-             ~schedule ~signed_inputs:s.signed ~entry_bits:s.entry_bits ~tau
-             ~n:s.n ())
+          (T.Trace_circuit.build ~mode ~kronpow:s.kronpow ~algo ~schedule
+             ~signed_inputs:s.signed ~entry_bits:s.entry_bits ~tau ~n:s.n ())
   in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Clock.now () in
   let packed =
     match compiled with
-    | Matmul built -> T.Matmul_circuit.pack ~kernels built
-    | Trace built -> T.Trace_circuit.pack ~kernels built
+    | Matmul built -> T.Matmul_circuit.pack built
+    | Trace built -> T.Trace_circuit.pack built
     | Stored _ -> assert false
   in
-  let t2 = Unix.gettimeofday () in
+  let t2 = Clock.now () in
   let stats =
     match compiled with
     | Matmul built -> T.Matmul_circuit.stats built
@@ -168,10 +166,9 @@ let find_or_build t spec =
         match t.store with
         | None -> None
         | Some store ->
-            let t0 = Unix.gettimeofday () in
+            let t0 = Clock.now () in
             Option.map
-              (fun a ->
-                entry_of_artifact spec ~load_seconds:(Unix.gettimeofday () -. t0) a)
+              (fun a -> entry_of_artifact spec ~load_seconds:(Clock.now () -. t0) a)
               (Tcmm_store.Store.find store ~key:k)
       in
       match loaded with
@@ -179,7 +176,7 @@ let find_or_build t spec =
           Tcmm_util.Lru.add t.lru k entry;
           Ok (entry, Loaded)
       | None -> (
-          match build ~templates:t.templates ~kernels:t.kernels spec with
+          match build spec with
           | entry ->
               Tcmm_util.Lru.add t.lru k entry;
               (* Write-behind: persist the fresh build so the next
@@ -192,8 +189,8 @@ let find_or_build t spec =
                   let meta =
                     {
                       Tcmm_store.Artifact.m_key = k;
-                      m_templates = t.templates;
-                      m_kernels = t.kernels;
+                      m_templates = true;
+                      m_kernels = true;
                       m_build_seconds = entry.build_seconds;
                       m_stats = entry.stats;
                       m_io = io_of_entry entry;

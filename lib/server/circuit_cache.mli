@@ -8,11 +8,12 @@
     miss / eviction counters come for free and feed the [metrics]
     response.
 
-    By default misses build through the template-stamping [Direct] path:
-    repeated block shapes are hash-consed and stamped by offset
-    arithmetic, and the arena lowers straight to the packed CSR form
-    without materializing a {!Tcmm_threshold.Circuit.t} (available
-    lazily through {!Tcmm_threshold.Packed.circuit} if ever needed). *)
+    Misses build through the template-stamping [Direct] path: repeated
+    block shapes are hash-consed and stamped by offset arithmetic, and
+    the arena lowers straight to the packed CSR form with kernel
+    dispatch, without materializing a {!Tcmm_threshold.Circuit.t}
+    (available lazily through {!Tcmm_threshold.Packed.circuit} if ever
+    needed). *)
 
 type compiled =
   | Matmul of Tcmm.Matmul_circuit.built
@@ -33,14 +34,15 @@ type entry = {
   packed : Tcmm_threshold.Packed.t;
   coverage : Tcmm_threshold.Packed.coverage;
       (** kernel vs generic-fallback gate/segment counts of [packed]
-          (all-fallback when kernels are off or the build materialized) *)
+          (all-fallback only for an artifact written without kernels) *)
   stats : Tcmm_threshold.Stats.t;
       (** structural stats — computed for fresh builds, recovered from
           the artifact header for warm loads *)
   source : source;
   build_seconds : float;
-      (** wall-clock cost of making the entry resident: build + pack
-          for [Fresh] entries, artifact load for [Warm] ones *)
+      (** cost of making the entry resident on {!Tcmm_util.Clock}:
+          build + pack for [Fresh] entries, artifact load for [Warm]
+          ones *)
   construct_seconds : float;  (** driver build (stamping); 0 for [Warm] *)
   lower_seconds : float;  (** packed lowering, or the artifact load *)
 }
@@ -52,22 +54,11 @@ type outcome =
 
 type t
 
-val create :
-  ?templates:bool ->
-  ?kernels:bool ->
-  ?store:Tcmm_store.Store.t ->
-  capacity:int ->
-  unit ->
-  t
-(** [templates] (default [true]) selects the template-stamped [Direct]
-    build path for cache misses; [false] restores the legacy
-    materialize-then-pack path.  [kernels] (default [true]) dispatches
-    template segments of Direct-built entries to their specialized batch
-    evaluators; [false] is the [--no-kernels] escape hatch (forces the
-    generic CSR loop — bit-identical results, only slower).  [store]
-    adds a persistent tier under the LRU: misses read through it before
-    building and write fresh builds behind ({!Tcmm_store.Store}).
-    Raises [Invalid_argument] when [capacity < 1]. *)
+val create : ?store:Tcmm_store.Store.t -> capacity:int -> unit -> t
+(** [store] adds a persistent tier under the LRU: misses read through
+    it before building and write fresh builds behind
+    ({!Tcmm_store.Store}).  Raises [Invalid_argument] when
+    [capacity < 1]. *)
 
 val store : t -> Tcmm_store.Store.t option
 

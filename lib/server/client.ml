@@ -44,7 +44,7 @@ let shutdown addr =
       | Error _ as e -> e)
 
 (* ------------------------------------------------------------------ *)
-(* Streaming sessions (protocol v6)                                   *)
+(* Streaming sessions                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Typed wrappers on one connection.  No retry machinery: session
@@ -107,7 +107,7 @@ let default_policy =
    re-sending after an ambiguous failure — the reply may or may not
    have been computed — at worst evaluates twice and returns the same
    bits.  [Shutdown] is excluded: its effect is external, and so are
-   the v6 session requests: a duplicate [Open_session] leaks a second
+   the session requests: a duplicate [Open_session] leaks a second
    session (and can LRU-evict a live one), a duplicate [Update] or
    [Close_session] mutates state whose first copy may already have
    been applied. *)

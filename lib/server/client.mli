@@ -28,7 +28,7 @@ val request : t -> Protocol.request -> (Protocol.response, string) result
 val shutdown : Protocol.addr -> (unit, string) result
 (** Connect, send [Shutdown], await [Shutting_down]. *)
 
-(** {1 Streaming sessions (protocol v6)}
+(** {1 Streaming sessions}
 
     Typed wrappers over one connection.  Session requests are stateful,
     so none of them participate in {!call}'s retry machinery: an

@@ -211,7 +211,6 @@ let add_metrics (a : P.metrics) (b : P.metrics) =
     eval_seconds = a.eval_seconds +. b.eval_seconds;
     build_seconds = a.build_seconds +. b.build_seconds;
     cache = add_cache a.cache b.cache;
-    engine = add_cache a.engine b.engine;
     accepted = a.accepted + b.accepted;
     shed = a.shed + b.shed;
     deadline_expired = a.deadline_expired + b.deadline_expired;

@@ -121,7 +121,7 @@ let observe_latency t ~seconds =
   t.latency_sum <- t.latency_sum +. ms;
   t.latency_count <- t.latency_count + 1
 
-let snapshot t ~uptime_seconds ~cache ~engine ~store : Protocol.metrics =
+let snapshot t ~uptime_seconds ~cache ~store : Protocol.metrics =
   let store_loads, store_saves, store_invalid = store in
   {
     Protocol.uptime_seconds;
@@ -145,7 +145,6 @@ let snapshot t ~uptime_seconds ~cache ~engine ~store : Protocol.metrics =
     eval_seconds = t.eval_seconds;
     build_seconds = t.build_seconds;
     cache;
-    engine;
     accepted = t.accepted;
     shed = t.shed;
     deadline_expired = t.deadline_expired;

@@ -9,8 +9,7 @@ type t
 
 val create : ?worker_id:int -> max_lanes:int -> unit -> t
 (** [max_lanes] sizes the occupancy histogram; [worker_id] (default 0 =
-    standalone) stamps every snapshot with the fleet identity protocol
-    v5 carries. *)
+    standalone) stamps every snapshot with the fleet identity. *)
 
 val latency_bounds : float array
 (** The latency histogram's bucket upper bounds, in milliseconds. *)
@@ -22,7 +21,8 @@ val error : t -> unit
 val observe_build : t -> seconds:float -> unit
 
 val observe_coverage : t -> kernel_gates:int -> fallback_gates:int -> unit
-(** One cache-miss build's kernel coverage ({!Circuit_cache.entry}'s
+(** The kernel coverage of one circuit made resident by a cache miss,
+    built or loaded from the artifact store ({!Circuit_cache.entry}'s
     [coverage] field); totals feed the [metrics] response's coverage
     fraction. *)
 
@@ -42,7 +42,7 @@ val observe_latency : t -> seconds:float -> unit
 
 (** {2 Streaming sessions}
 
-    Protocol v6 accounting for the stateful dirty-cone sessions: the
+    Accounting for the stateful dirty-cone sessions: the
     gauge [sessions_active] tracks opens minus closes minus LRU
     evictions, and [session_update] accumulates the incremental work
     ratio's numerator ([dirty_gates] re-examined) and denominator
@@ -63,7 +63,6 @@ val snapshot :
   t ->
   uptime_seconds:float ->
   cache:Tcmm_util.Lru.stats ->
-  engine:Tcmm_util.Lru.stats ->
   store:int * int * int ->
   Protocol.metrics
 (** [store] is the artifact store's [(loads, saves, invalid)] counter

@@ -1,8 +1,7 @@
 module Matrix = Tcmm_fastmm.Matrix
 module Image = Tcmm_convnet.Image
 
-let version = 7
-let min_version = 1
+let version = 8
 let max_frame_len = 1 lsl 24
 
 type kind = Matmul | Trace | Triangles | Conv
@@ -17,11 +16,10 @@ type spec = {
   signed : bool;
   tau : int;
   kronpow : bool;
-      (** apply the Kronecker-power linear-circuit rewrite when building
-          (protocol v7; false when decoding an older peer) *)
+      (** apply the Kronecker-power linear-circuit rewrite when building *)
 }
 
-(* One im2col inference job (protocol v7): [cj_q]/[cj_stride] pick the
+(* One im2col inference job: [cj_q]/[cj_stride] pick the
    patch grid, the kernels all share the image's channel count.  The
    server embeds patch and kernel matrices into the spec's [n x n]
    matmul circuit and replies with the [K x out_h x out_w] scores. *)
@@ -44,9 +42,7 @@ type request =
 
 type compiled = {
   cached : bool;
-  loaded : bool;
-      (** the entry came from the artifact store, not a build (protocol
-          v4; false when decoding an older peer) *)
+  loaded : bool;  (** the entry came from the artifact store, not a build *)
   build_seconds : float;
   stats : Tcmm_threshold.Stats.t;
 }
@@ -82,35 +78,31 @@ type metrics = {
   eval_seconds : float;
   build_seconds : float;
   cache : cache_stats;
-  engine : cache_stats;
-  (* Robustness accounting (protocol v2; zero when decoding a v1 peer).
-     Invariant once the queue is empty:
+  (* Robustness accounting.  Invariant once the queue is empty:
      [accepted = run_requests + deadline_expired + eval_failures]. *)
   accepted : int;
   shed : int;
   deadline_expired : int;
   eval_failures : int;
   slow_client_drops : int;
-  (* Kernel coverage (protocol v3; zero when decoding an older peer):
-     gates of cache-miss builds that evaluate through a specialized
-     kernel vs the generic CSR fallback, summed over all builds. *)
+  (* Kernel coverage: gates of circuits made resident by a cache miss
+     (built or loaded) that evaluate through a specialized kernel vs the
+     generic CSR fallback, summed over all misses. *)
   kernel_gates : int;
   fallback_gates : int;
-  (* Artifact-store traffic (protocol v4; zero when decoding an older
-     peer): warm loads, write-behind saves, and quarantined invalid
-     artifacts since the daemon started. *)
+  (* Artifact-store traffic: warm loads, write-behind saves, and
+     quarantined invalid artifacts since the daemon started. *)
   store_loads : int;
   store_saves : int;
   store_invalid : int;
-  (* Fleet identity (protocol v5; zero when decoding an older peer):
-     which worker produced this snapshot.  0 = a standalone daemon or a
-     supervisor-side aggregate; fleet workers are numbered from 1. *)
+  (* Fleet identity: which worker produced this snapshot.  0 = a
+     standalone daemon or a supervisor-side aggregate; fleet workers
+     are numbered from 1. *)
   worker_id : int;
-  (* Streaming-session accounting (protocol v6; zero when decoding an
-     older peer).  [session_dirty_gates / session_gates] is the
-     fleet-wide incremental work ratio: gates actually re-examined by
-     dirty-cone updates over gates a from-scratch re-evaluation of the
-     same updates would have swept. *)
+  (* Streaming-session accounting.  [session_dirty_gates /
+     session_gates] is the fleet-wide incremental work ratio: gates
+     actually re-examined by dirty-cone updates over gates a
+     from-scratch re-evaluation of the same updates would have swept. *)
   sessions_opened : int;
   sessions_active : int;
   sessions_evicted : int;
@@ -157,8 +149,7 @@ type response =
   | Update_result of update_result
   | Session_closed
   | Conv_result of int array array array * int
-      (** [K x out_h x out_w] score planes and the lane's firings
-          (protocol v7) *)
+      (** [K x out_h x out_w] score planes and the lane's firings *)
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                           *)
@@ -205,7 +196,6 @@ let w_spec buf s =
   w_int buf s.entry_bits;
   w_bool buf s.signed;
   w_int buf s.tau;
-  (* The v7 field rides at the tail, like the metrics counters. *)
   w_bool buf s.kronpow
 
 let w_image buf (img : Image.t) =
@@ -269,8 +259,6 @@ let w_metrics buf m =
   w_float buf m.eval_seconds;
   w_float buf m.build_seconds;
   w_cache_stats buf m.cache;
-  w_cache_stats buf m.engine;
-  (* v2 fields ride at the tail so a v1 reader body is a prefix. *)
   w_int buf m.accepted;
   w_int buf m.shed;
   w_int buf m.deadline_expired;
@@ -282,7 +270,6 @@ let w_metrics buf m =
   w_int buf m.store_saves;
   w_int buf m.store_invalid;
   w_int buf m.worker_id;
-  (* v6 session counters ride at the tail, like every version before. *)
   w_int buf m.sessions_opened;
   w_int buf m.sessions_active;
   w_int buf m.sessions_evicted;
@@ -355,8 +342,6 @@ let encode_response = function
           w_bool buf c.cached;
           w_float buf c.build_seconds;
           w_stats buf c.stats;
-          (* v4 field rides at the tail, mirroring the metrics layout
-             discipline. *)
           w_bool buf c.loaded)
   | Matmul_result (m, firings) ->
       payload 2 (fun buf ->
@@ -474,16 +459,16 @@ let r_matrix r what =
   need r (rows * cols * 8) what;
   Matrix.of_rows (Array.init rows (fun _ -> Array.init cols (fun _ -> r_int r what)))
 
-let r_kind r ~version:v =
+let r_kind r =
   match r_u8 r "kind" with
   | 0 -> Matmul
   | 1 -> Trace
   | 2 -> Triangles
-  | 3 when v >= 7 -> Conv
+  | 3 -> Conv
   | k -> fail "unknown circuit kind %d" k
 
-let r_spec r ~version:v =
-  let kind = r_kind r ~version:v in
+let r_spec r =
+  let kind = r_kind r in
   let algo = r_string r "spec.algo" in
   let schedule = r_string r "spec.schedule" in
   let d = r_int r "spec.d" in
@@ -491,8 +476,7 @@ let r_spec r ~version:v =
   let entry_bits = r_int r "spec.entry_bits" in
   let signed = r_bool r "spec.signed" in
   let tau = r_int r "spec.tau" in
-  (* The kronpow flag joined in v7; older builds are always flat. *)
-  let kronpow = if v >= 7 then r_bool r "spec.kronpow" else false in
+  let kronpow = r_bool r "spec.kronpow" in
   { kind; algo; schedule; d; n; entry_bits; signed; tau; kronpow }
 
 let r_image r what =
@@ -560,7 +544,7 @@ let r_histogram r =
   let count = r_int r "histogram.count" in
   { bounds; counts; sum; count }
 
-let r_metrics r ~version:v =
+let r_metrics r =
   let uptime_seconds = r_float r "metrics.uptime" in
   let connections_accepted = r_int r "metrics.accepted" in
   let connections_active = r_int r "metrics.active" in
@@ -576,40 +560,27 @@ let r_metrics r ~version:v =
   let eval_seconds = r_float r "metrics.eval_seconds" in
   let build_seconds = r_float r "metrics.build_seconds" in
   let cache = r_cache_stats r in
-  let engine = r_cache_stats r in
-  (* The robustness counters joined in v2; a v1 peer simply never saw a
-     shed or expired request. *)
-  let accepted = if v >= 2 then r_int r "metrics.accepted" else 0 in
-  let shed = if v >= 2 then r_int r "metrics.shed" else 0 in
-  let deadline_expired = if v >= 2 then r_int r "metrics.deadline_expired" else 0 in
-  let eval_failures = if v >= 2 then r_int r "metrics.eval_failures" else 0 in
-  let slow_client_drops =
-    if v >= 2 then r_int r "metrics.slow_client_drops" else 0
-  in
-  (* Kernel coverage joined in v3; older peers predate the kernels. *)
-  let kernel_gates = if v >= 3 then r_int r "metrics.kernel_gates" else 0 in
-  let fallback_gates = if v >= 3 then r_int r "metrics.fallback_gates" else 0 in
-  (* Artifact-store counters joined in v4; older daemons had no store. *)
-  let store_loads = if v >= 4 then r_int r "metrics.store_loads" else 0 in
-  let store_saves = if v >= 4 then r_int r "metrics.store_saves" else 0 in
-  let store_invalid = if v >= 4 then r_int r "metrics.store_invalid" else 0 in
-  (* The fleet identity joined in v5; an older daemon is standalone. *)
-  let worker_id = if v >= 5 then r_int r "metrics.worker_id" else 0 in
-  (* Streaming sessions joined in v6; older daemons served none. *)
-  let sessions_opened = if v >= 6 then r_int r "metrics.sessions_opened" else 0 in
-  let sessions_active = if v >= 6 then r_int r "metrics.sessions_active" else 0 in
-  let sessions_evicted =
-    if v >= 6 then r_int r "metrics.sessions_evicted" else 0
-  in
-  let session_updates = if v >= 6 then r_int r "metrics.session_updates" else 0 in
-  let session_dirty_gates =
-    if v >= 6 then r_int r "metrics.session_dirty_gates" else 0
-  in
-  let session_gates = if v >= 6 then r_int r "metrics.session_gates" else 0 in
+  let accepted = r_int r "metrics.accepted" in
+  let shed = r_int r "metrics.shed" in
+  let deadline_expired = r_int r "metrics.deadline_expired" in
+  let eval_failures = r_int r "metrics.eval_failures" in
+  let slow_client_drops = r_int r "metrics.slow_client_drops" in
+  let kernel_gates = r_int r "metrics.kernel_gates" in
+  let fallback_gates = r_int r "metrics.fallback_gates" in
+  let store_loads = r_int r "metrics.store_loads" in
+  let store_saves = r_int r "metrics.store_saves" in
+  let store_invalid = r_int r "metrics.store_invalid" in
+  let worker_id = r_int r "metrics.worker_id" in
+  let sessions_opened = r_int r "metrics.sessions_opened" in
+  let sessions_active = r_int r "metrics.sessions_active" in
+  let sessions_evicted = r_int r "metrics.sessions_evicted" in
+  let session_updates = r_int r "metrics.session_updates" in
+  let session_dirty_gates = r_int r "metrics.session_dirty_gates" in
+  let session_gates = r_int r "metrics.session_gates" in
   {
     uptime_seconds; connections_accepted; connections_active; requests_total;
     run_requests; errors; batches; lanes; max_lanes; occupancy; latency_ms;
-    firings_total; eval_seconds; build_seconds; cache; engine;
+    firings_total; eval_seconds; build_seconds; cache;
     accepted; shed; deadline_expired; eval_failures; slow_client_drops;
     kernel_gates; fallback_gates; store_loads; store_saves; store_invalid;
     worker_id; sessions_opened; sessions_active; sessions_evicted;
@@ -628,38 +599,37 @@ let decode what f s =
   try
     let r = { s; pos = 0 } in
     let v = r_u8 r "version" in
-    if v < min_version || v > version then
-      fail "unsupported protocol version %d (want %d..%d)" v min_version version;
+    if v <> version then fail "unsupported protocol version %d (want %d)" v version;
     let tag = r_u8 r "tag" in
-    let value = f r ~version:v tag in
+    let value = f r tag in
     if remaining r > 0 then fail "%d trailing bytes after %s" (remaining r) what;
     Ok value
   with Fail msg -> Result.Error (Printf.sprintf "bad %s: %s" what msg)
 
 let decode_request =
-  decode "request" (fun r ~version tag ->
+  decode "request" (fun r tag ->
       match tag with
-      | 1 -> Compile (r_spec r ~version)
+      | 1 -> Compile (r_spec r)
       | 2 ->
-          let spec = r_spec r ~version in
+          let spec = r_spec r in
           let a = r_matrix r "run.a" in
           let b = r_matrix r "run.b" in
           Run_matmul (spec, a, b)
       | 3 ->
-          let spec = r_spec r ~version in
+          let spec = r_spec r in
           Run_trace (spec, r_matrix r "run.a")
       | 4 ->
-          let spec = r_spec r ~version in
+          let spec = r_spec r in
           Run_triangles (spec, r_matrix r "run.adjacency")
-      | 5 -> Stats (r_spec r ~version)
+      | 5 -> Stats (r_spec r)
       | 6 -> Metrics
       | 7 -> Ping
       | 8 -> Shutdown
-      | 13 when version >= 5 -> Fleet
-      | 14 when version >= 6 ->
-          let spec = r_spec r ~version in
+      | 13 -> Fleet
+      | 14 ->
+          let spec = r_spec r in
           Open_session (spec, r_matrix r "session.adjacency")
-      | 15 when version >= 6 ->
+      | 15 ->
           let sid = r_int r "update.sid" in
           let count = r_counted r ~elem_bytes:9 "update.delta" in
           Update
@@ -668,20 +638,20 @@ let decode_request =
                   let w = r_int r "update.wire" in
                   let v = r_bool r "update.value" in
                   (w, v)) )
-      | 16 when version >= 6 -> Close_session (r_int r "close.sid")
-      | 17 when version >= 7 ->
-          let spec = r_spec r ~version in
+      | 16 -> Close_session (r_int r "close.sid")
+      | 17 ->
+          let spec = r_spec r in
           Run_conv (spec, r_conv_job r)
       | t -> fail "unknown request tag %d" t)
 
 let decode_response =
-  decode "response" (fun r ~version tag ->
+  decode "response" (fun r tag ->
       match tag with
       | 1 ->
           let cached = r_bool r "compiled.cached" in
           let build_seconds = r_float r "compiled.build_seconds" in
           let stats = r_stats r in
-          let loaded = if version >= 4 then r_bool r "compiled.loaded" else false in
+          let loaded = r_bool r "compiled.loaded" in
           Compiled { cached; loaded; build_seconds; stats }
       | 2 ->
           let m = r_matrix r "result.c" in
@@ -693,28 +663,28 @@ let decode_response =
           let b = r_bool r "result.fires" in
           Triangles_result (b, r_int r "result.firings")
       | 5 -> Stats_result (r_stats r)
-      | 6 -> Metrics_result (r_metrics r ~version)
+      | 6 -> Metrics_result (r_metrics r)
       | 7 -> Pong
       | 8 -> Shutting_down
       | 9 -> Error (r_string r "error.message")
-      | 10 when version >= 2 -> Overloaded
-      | 11 when version >= 2 -> Deadline_exceeded
-      | 12 when version >= 5 ->
+      | 10 -> Overloaded
+      | 11 -> Deadline_exceeded
+      | 12 ->
           let count = r_counted r ~elem_bytes:(8 * 4 + 1) "fleet.workers" in
           Fleet_result (List.init count (fun _ -> r_fleet_worker r))
-      | 14 when version >= 6 ->
+      | 14 ->
           let so_sid = r_int r "session.sid" in
           let so_fires = r_bool r "session.fires" in
           let so_firings = r_int r "session.firings" in
           Session_opened { so_sid; so_fires; so_firings }
-      | 15 when version >= 6 ->
+      | 15 ->
           let ur_fires = r_bool r "update.fires" in
           let ur_firings = r_int r "update.firings" in
           let ur_dirty_gates = r_int r "update.dirty_gates" in
           let ur_gates = r_int r "update.gates" in
           Update_result { ur_fires; ur_firings; ur_dirty_gates; ur_gates }
-      | 18 when version >= 6 -> Session_closed
-      | 19 when version >= 7 ->
+      | 18 -> Session_closed
+      | 19 ->
           let scores = r_scores r in
           Conv_result (scores, r_int r "result.firings")
       | t -> fail "unknown response tag %d" t)
@@ -933,7 +903,7 @@ let equal_metrics a b =
   && a.firings_total = b.firings_total
   && equal_float a.eval_seconds b.eval_seconds
   && equal_float a.build_seconds b.build_seconds
-  && a.cache = b.cache && a.engine = b.engine
+  && a.cache = b.cache
   && a.accepted = b.accepted && a.shed = b.shed
   && a.deadline_expired = b.deadline_expired
   && a.eval_failures = b.eval_failures
@@ -1005,15 +975,12 @@ let pp_metrics ppf m =
     m.sessions_opened m.sessions_active m.sessions_evicted m.session_updates
     m.session_dirty_gates m.session_gates
     (100. *. frac m.session_dirty_gates m.session_gates);
-  let pp_cache name (c : cache_stats) =
-    Format.fprintf ppf
-      "%s cache: %d/%d entries, %d hits / %d misses (%.0f%% hit rate), %d evictions@."
-      name c.size c.capacity c.hits c.misses
-      (100. *. frac c.hits (c.hits + c.misses))
-      c.evictions
-  in
-  pp_cache "circuit" m.cache;
-  pp_cache "engine" m.engine;
+  let c = m.cache in
+  Format.fprintf ppf
+    "circuit cache: %d/%d entries, %d hits / %d misses (%.0f%% hit rate), %d evictions@."
+    c.size c.capacity c.hits c.misses
+    (100. *. frac c.hits (c.hits + c.misses))
+    c.evictions;
   let occupied = ref [] in
   Array.iteri
     (fun i c -> if c > 0 then occupied := (i + 1, c) :: !occupied)

@@ -18,24 +18,11 @@ module Matrix = Tcmm_fastmm.Matrix
 module Image = Tcmm_convnet.Image
 
 val version : int
-(** Protocol version carried in every outgoing payload (currently 7).
-    Version 2 added the [Overloaded] / [Deadline_exceeded] statuses and
-    the robustness counters at the tail of {!metrics}; version 3
-    appended the kernel-coverage counters; version 4 the artifact-store
-    counters; version 5 the fleet identity ([metrics.worker_id]) and
-    the [Fleet] / [Fleet_result] roster exchange; version 6 the
-    stateful streaming sessions ([Open_session] / [Update] /
-    [Close_session]) and the session counters at the metrics tail;
-    version 7 the served im2col convolution ([Conv] specs, [Run_conv] /
-    [Conv_result]) and the [spec.kronpow] flag at the spec tail. *)
-
-val min_version : int
-(** Oldest peer version the decoders accept (currently 1).  A v1
-    [metrics] payload decodes with the robustness counters zeroed, a v2
-    payload with the kernel-coverage counters zeroed, a v4 payload with
-    the fleet fields zeroed; version-gated tags ([Overloaded],
-    [Deadline_exceeded], [Fleet], [Fleet_result]) are rejected in
-    payloads older than the version that introduced them. *)
+(** Protocol version carried in every outgoing payload (currently 8).
+    The decoders accept this version only and refuse any other with an
+    [Error] naming both.  Client, server and fleet workers ship in one
+    binary, so peers never differ; compiled artifacts carry their own
+    format version ({!Tcmm_store.Artifact.format_version}). *)
 
 val max_frame_len : int
 (** Hard upper bound on a payload's length (16 MiB). *)
@@ -50,7 +37,7 @@ type kind =
           adjacency matrix (Section 5) *)
   | Conv
       (** im2col convolution served through a matmul circuit of
-          dimension [n] (Section 6 application).  Protocol v7. *)
+          dimension [n] (Section 6 application) *)
 
 type spec = {
   kind : kind;
@@ -62,9 +49,9 @@ type spec = {
   signed : bool;
   tau : int;  (** threshold for [Trace] / [Triangles]; ignored for [Matmul] *)
   kronpow : bool;
-      (** build with the Kronecker-power linear-circuit optimization
-          (v7; [false] from an older peer).  Value-identical circuits,
-          different wire structure — part of the cache key. *)
+      (** build with the Kronecker-power linear-circuit optimization.
+          Value-identical circuits, different wire structure — part of
+          the cache key. *)
 }
 
 type conv_job = {
@@ -88,28 +75,28 @@ type request =
   | Fleet
       (** fleet roster: a supervisor answers with every worker's
           endpoint and restart count, a standalone daemon (or a worker)
-          with just itself.  Protocol v5. *)
+          with just itself *)
   | Open_session of spec * Matrix.t
       (** open a stateful streaming session on a [Trace] / [Triangles]
           circuit: evaluate the initial matrix from scratch and keep
           the {!Tcmm_threshold.Packed.session} resident for incremental
-          updates.  Protocol v6. *)
+          updates *)
   | Update of int * (int * bool) array
       (** [(sid, delta)]: apply an input-bit delta — [(wire, value)]
           pairs, e.g. from {!Tcmm_graph.Stream.delta} — to an open
-          session and re-evaluate only the dirty cone.  Protocol v6. *)
-  | Close_session of int  (** release a session's state.  Protocol v6. *)
+          session and re-evaluate only the dirty cone *)
+  | Close_session of int  (** release a session's state *)
   | Run_conv of spec * conv_job
       (** serve an im2col convolution through the spec's matmul
           circuit: the daemon embeds the patch and kernel matrices into
           [n x n], multiplies through the cached circuit, and folds the
-          product back into per-kernel score maps.  Protocol v7. *)
+          product back into per-kernel score maps *)
 
 type compiled = {
   cached : bool;  (** was already resident in the circuit cache *)
   loaded : bool;
       (** the entry was recovered from the artifact store instead of
-          built (v4; [false] from an older peer) *)
+          built *)
   build_seconds : float;  (** 0 when [cached] *)
   stats : Tcmm_threshold.Stats.t;
 }
@@ -147,7 +134,6 @@ type metrics = {
   eval_seconds : float;  (** time inside batched circuit evaluation *)
   build_seconds : float;  (** time building + packing circuits *)
   cache : cache_stats;  (** the daemon's spec-keyed circuit cache *)
-  engine : cache_stats;  (** the process-wide {!Tcmm_threshold.Engine} cache *)
   accepted : int;
       (** run requests admitted to the batcher.  Once the queue is
           empty, [accepted = run_requests + deadline_expired +
@@ -159,23 +145,22 @@ type metrics = {
       (** connections closed because the peer stopped draining its
           write buffer past the backlog cap *)
   kernel_gates : int;
-      (** gates of cache-miss builds evaluating through a
-          template-specialized kernel, summed over all builds (v3) *)
+      (** gates evaluating through a template-specialized kernel, summed
+          over every circuit a cache miss made resident — fresh builds
+          and warm loads from the artifact store alike *)
   fallback_gates : int;
-      (** gates of cache-miss builds on the generic CSR fallback; the
+      (** gates of those same circuits on the generic CSR fallback; the
           kernel coverage fraction is
           [kernel_gates / (kernel_gates + fallback_gates)] *)
-  store_loads : int;
-      (** circuits recovered warm from the artifact store (v4) *)
-  store_saves : int;  (** artifacts written behind fresh builds (v4) *)
+  store_loads : int;  (** circuits recovered warm from the artifact store *)
+  store_saves : int;  (** artifacts written behind fresh builds *)
   store_invalid : int;
-      (** artifacts that failed validation and were quarantined (v4) *)
+      (** artifacts that failed validation and were quarantined *)
   worker_id : int;
-      (** which fleet worker produced this snapshot (v5; zero from an
-          older peer).  0 = a standalone daemon or a supervisor-side
-          fleet aggregate; workers are numbered from 1. *)
-  sessions_opened : int;
-      (** streaming sessions ever opened (v6; zero from an older peer) *)
+      (** which fleet worker produced this snapshot.  0 = a standalone
+          daemon or a supervisor-side fleet aggregate; workers are
+          numbered from 1. *)
+  sessions_opened : int;  (** streaming sessions ever opened *)
   sessions_active : int;  (** sessions currently resident *)
   sessions_evicted : int;
       (** sessions dropped by the LRU cap before being closed *)
@@ -226,21 +211,18 @@ type response =
   | Shutting_down
   | Error of string
   | Overloaded
-      (** load shed: the batcher queue is at capacity; retry later.
-          Protocol v2. *)
+      (** load shed: the batcher queue is at capacity; retry later *)
   | Deadline_exceeded
-      (** the request's deadline passed before its batch dispatched.
-          Protocol v2. *)
+      (** the request's deadline passed before its batch dispatched *)
   | Fleet_result of fleet_worker list
       (** answer to {!Fleet}: the supervisor's roster, or a singleton
-          for a standalone daemon.  Protocol v5. *)
-  | Session_opened of session_opened  (** answer to [Open_session].  v6. *)
-  | Update_result of update_result  (** answer to [Update].  v6. *)
-  | Session_closed  (** answer to [Close_session].  v6. *)
+          for a standalone daemon *)
+  | Session_opened of session_opened  (** answer to [Open_session] *)
+  | Update_result of update_result  (** answer to [Update] *)
+  | Session_closed  (** answer to [Close_session] *)
   | Conv_result of int array array array * int
       (** answer to [Run_conv]: [scores.(k).(y).(x)] per kernel, plus
-          gate firings.  Bit-identical to {!Tcmm_convnet.Conv.direct}.
-          Protocol v7. *)
+          gate firings.  Bit-identical to {!Tcmm_convnet.Conv.direct}. *)
 
 (** {1 Binary encoding} *)
 

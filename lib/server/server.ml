@@ -13,8 +13,6 @@ type config = {
   cache_capacity : int;
   flush_ms : float;
   max_lanes : int;
-  templates : bool;
-  kernels : bool;
   profile_build : bool;
   profile_eval : bool;
   max_pending : int;
@@ -28,8 +26,7 @@ type config = {
 
 let default_config addr =
   { addr; cache_capacity = 8; flush_ms = 0.; max_lanes = 62;
-    templates = true; kernels = true; profile_build = false;
-    profile_eval = false;
+    profile_build = false; profile_eval = false;
     max_pending = 0; deadline_ms = 0.; grace_s = 5.;
     max_backlog = 1 lsl 26; store = None; worker_id = 0; max_sessions = 16 }
 
@@ -54,7 +51,7 @@ type job = {
   mutable answered : bool;
 }
 
-(* One resident streaming session (protocol v6).  The packed session
+(* One resident streaming session.  The packed session
    holds the last input bits and every gate's cached sum, so an
    [Update] re-examines only the flipped wires' dirty cone.
    [se_last_dirty] snapshots the session's cumulative dirty-gate
@@ -220,7 +217,7 @@ let expire_deadlines st ~now =
               m "expired %d job(s) past deadline (%d reaped from queue)"
                 (List.length newly) (List.length reaped)))
 
-(* Served convolution (protocol v7): embed the im2col operands into the
+(* Served convolution: embed the im2col operands into the
    spec's [n x n] matmul circuit; the top-left [P x K] block of the
    product is the score matrix.  Raises [Invalid_argument] on a
    mis-shaped job, which the caller converts to an [Error] reply. *)
@@ -349,14 +346,15 @@ let with_entry st c spec k =
   match Circuit_cache.find_or_build st.cache spec with
   | Error msg -> send st c (P.Error msg)
   | Ok (entry, outcome) ->
+      let cov = entry.Circuit_cache.coverage in
+      if outcome <> Circuit_cache.Cached then
+        Metrics.observe_coverage st.metrics
+          ~kernel_gates:cov.Th.Packed.kernel_gates
+          ~fallback_gates:cov.Th.Packed.fallback_gates;
       (match outcome with
       | Circuit_cache.Cached -> ()
       | Circuit_cache.Built ->
           Metrics.observe_build st.metrics ~seconds:entry.build_seconds;
-          let cov = entry.Circuit_cache.coverage in
-          Metrics.observe_coverage st.metrics
-            ~kernel_gates:cov.Th.Packed.kernel_gates
-            ~fallback_gates:cov.Th.Packed.fallback_gates;
           let level = if st.cfg.profile_build then Logs.App else Logs.Info in
           Log.msg level (fun m ->
               let total = cov.Th.Packed.kernel_gates + cov.Th.Packed.fallback_gates in
@@ -403,7 +401,7 @@ let handle_run st c ~now spec req =
             | None -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* Streaming sessions (protocol v6)                                   *)
+(* Streaming sessions                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let session_input (entry : Circuit_cache.entry) m =
@@ -535,7 +533,6 @@ let handle_request st c ~now req =
         Metrics.snapshot st.metrics
           ~uptime_seconds:(now -. st.started)
           ~cache:(Circuit_cache.stats st.cache)
-          ~engine:(Th.Engine.stats (Th.Engine.shared ()))
           ~store:(store_counters st)
       in
       send st c (P.Metrics_result m)
@@ -655,7 +652,6 @@ let log_final st ~now reason =
     Metrics.snapshot st.metrics
       ~uptime_seconds:(now -. st.started)
       ~cache:(Circuit_cache.stats st.cache)
-      ~engine:(Th.Engine.stats (Th.Engine.shared ()))
       ~store:(store_counters st)
   in
   Log.info (fun f ->
@@ -791,7 +787,7 @@ let serve_fds cfg listen_fds =
     match cfg.store with
     | None -> None
     | Some dir -> (
-        match Tcmm_store.Store.create ~kernels:cfg.kernels ~dir () with
+        match Tcmm_store.Store.create ~dir () with
         | Ok s -> Some s
         | Error msg ->
             Log.err (fun m ->
@@ -804,8 +800,7 @@ let serve_fds cfg listen_fds =
       listen_fds;
       conns = [];
       cache =
-        Circuit_cache.create ~templates:cfg.templates ~kernels:cfg.kernels
-          ?store ~capacity:(max 1 cfg.cache_capacity) ();
+        Circuit_cache.create ?store ~capacity:(max 1 cfg.cache_capacity) ();
       batcher = Batcher.create ~max_lanes ~flush_ms:cfg.flush_ms ();
       wheel = Timer_wheel.create ~now:started ();
       metrics = Metrics.create ~worker_id:cfg.worker_id ~max_lanes ();

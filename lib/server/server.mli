@@ -42,15 +42,6 @@ type config = {
   cache_capacity : int;  (** circuit-cache entries kept resident *)
   flush_ms : float;  (** batch flush deadline; [0.] = adaptive (see above) *)
   max_lanes : int;  (** lanes per batch, clamped to [1 .. 62] *)
-  templates : bool;
-      (** build cache misses through the template-stamped [Direct] path
-          (default); [false] restores the legacy builder *)
-  kernels : bool;
-      (** dispatch template segments to their specialized batch
-          evaluators (default); [false] is the [--no-kernels] escape
-          hatch — the generic CSR loop everywhere, bit-identical
-          replies, only slower.  Per-build kernel coverage feeds the
-          [metrics] response ([kernel_gates] / [fallback_gates]). *)
   profile_build : bool;
       (** log the per-miss construct / lower phase breakdown at [App]
           level (always available at [Info]) *)
@@ -75,11 +66,11 @@ type config = {
           (default) disables the tier.  An unopenable directory logs an
           error and serves without the store. *)
   worker_id : int;
-      (** fleet identity stamped into protocol v5 metrics; [0]
+      (** fleet identity stamped into the metrics snapshot; [0]
           (default) = standalone, {!Fleet} workers are numbered from
           1.  Purely informational for a standalone daemon. *)
   max_sessions : int;
-      (** resident streaming-session cap (protocol v6); opening a
+      (** resident streaming-session cap; opening a
           session past it evicts the least-recently-updated one
           (counted in [metrics.sessions_evicted]).  Each session pins a
           full wire-value image plus per-gate cached sums, hence the
@@ -87,8 +78,7 @@ type config = {
 }
 
 val default_config : Protocol.addr -> config
-(** capacity 8, adaptive flush, 62 lanes, templates and kernels on,
-    profiling off, no pending cap, no deadline, 5 s grace, 64 MiB
+(** capacity 8, adaptive flush, 62 lanes, profiling off, no pending cap, no deadline, 5 s grace, 64 MiB
     backlog cap, no artifact store, worker id 0, 16 sessions. *)
 
 val bind : config -> Unix.file_descr * Protocol.addr

@@ -374,7 +374,7 @@ let find_section h name ~width =
       bad "section %S has element width %d, expected %d" name s.s_width width
   | Some s -> s
 
-let read ?(kernels = true) ?key ~path () =
+let read ?key ~path () =
   match
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
     Fun.protect
@@ -436,9 +436,7 @@ let read ?(kernels = true) ?key ~path () =
             sec_kern_index = arr "kern_index";
           }
         in
-        match
-          Packed.load ~kernels ~recompile:(kernels && kern_recompiled) sections
-        with
+        match Packed.load ~recompile:kern_recompiled sections with
         | Error m -> bad "invalid packed sections: %s" m
         | Ok packed ->
             {
@@ -447,7 +445,7 @@ let read ?(kernels = true) ?key ~path () =
               a_header = h;
               a_path = path;
               a_bytes = size;
-              a_kern_recompiled = kern_recompiled && kernels;
+              a_kern_recompiled = kern_recompiled;
             })
   with
   | a -> Ok a

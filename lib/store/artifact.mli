@@ -105,12 +105,14 @@ val write :
     size in bytes.  Not atomic on its own — {!Store.save} writes to a
     temp path and renames. *)
 
-val read :
-  ?kernels:bool -> ?key:string -> path:string -> unit -> (t, string) result
+val read : ?key:string -> path:string -> unit -> (t, string) result
 (** Load and fully verify an artifact: magic, header CRC + decode,
     format version, [key] match when given, section bounds and widths,
-    every section CRC, then {!Tcmm_threshold.Packed.load}.  [Error] is a
-    human-readable reason; the file is untouched either way. *)
+    every section CRC, then {!Tcmm_threshold.Packed.load}, which
+    recompiles the kernels when the artifact's kernel revision is
+    stale.  The loaded dispatch is the written one: an artifact packed
+    without kernels loads all-generic.  [Error] is a human-readable
+    reason; the file is untouched either way. *)
 
 val read_header : path:string -> (header * int, string) result
 (** Header and file size only — no mapping, no payload verification.

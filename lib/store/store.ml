@@ -4,7 +4,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type t = {
   dir : string;
-  kernels : bool;
   mutable n_loads : int;
   mutable n_saves : int;
   mutable n_invalid : int;
@@ -18,11 +17,11 @@ let rec mkdir_p path =
     try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let create ?(kernels = true) ~dir () =
+let create ~dir () =
   match
     mkdir_p dir;
     if not (Sys.is_directory dir) then Error (dir ^ " is not a directory")
-    else Ok { dir; kernels; n_loads = 0; n_saves = 0; n_invalid = 0 }
+    else Ok { dir; n_loads = 0; n_saves = 0; n_invalid = 0 }
   with
   | r -> r
   | exception e -> Error (Printexc.to_string e)
@@ -58,7 +57,7 @@ let find t ~key =
   let path = path_of_key t key in
   if not (Sys.file_exists path) then None
   else
-    match Artifact.read ~kernels:t.kernels ~key ~path () with
+    match Artifact.read ~key ~path () with
     | Ok a ->
         t.n_loads <- t.n_loads + 1;
         if a.Artifact.a_kern_recompiled then

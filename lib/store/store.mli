@@ -22,9 +22,8 @@ type counters = {
   invalid : int;  (** artifacts that failed validation and were quarantined *)
 }
 
-val create : ?kernels:bool -> dir:string -> unit -> (t, string) result
-(** Open (and [mkdir -p]) an artifact directory.  [kernels] (default
-    [true]) is passed through to {!Artifact.read} on every load. *)
+val create : dir:string -> unit -> (t, string) result
+(** Open (and [mkdir -p]) an artifact directory. *)
 
 val dir : t -> string
 val counters : t -> counters

@@ -1784,7 +1784,7 @@ let recompile_kern s seg =
 
 exception Invalid of string
 
-let load ?(kernels = true) ?(recompile = false) s =
+let load ?(recompile = false) s =
   let fail fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt in
   let check_monotone name a lo hi =
     let n = Array.length a in
@@ -1868,8 +1868,7 @@ let load ?(kernels = true) ?(recompile = false) s =
       if k > !max_seg_gates then max_seg_gates := k
     done;
     let kern =
-      if not kernels then [||]
-      else if recompile && nsegs > 0 then Array.init nsegs (recompile_kern s)
+      if recompile && nsegs > 0 then Array.init nsegs (recompile_kern s)
       else if Array.length s.sec_kern_index > 0 then begin
         (* Each distinct spec is decoded once and shared by every
            segment naming it.  The table holds exactly the specs the
@@ -1889,9 +1888,9 @@ let load ?(kernels = true) ?(recompile = false) s =
       end
       else
         (* An empty section means the circuit was packed without kernel
-           dispatch (of_circuit, or kernels off) — reproduce that
-           faithfully rather than inventing kernels the original never
-           had. *)
+           dispatch (of_circuit, or of_arena ~kernels:false) — reproduce
+           that faithfully rather than inventing kernels the original
+           never had. *)
         [||]
     in
     let k_gates = ref 0 and k_segs = ref 0 in

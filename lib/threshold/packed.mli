@@ -77,10 +77,10 @@ val of_arena : ?kernels:bool -> Builder.arena -> t
 
     [kernels] (default [true]) dispatches each template segment to its
     specialized batch evaluator ({!Kernel.compile}); [~kernels:false]
-    forces the generic CSR loop everywhere (the [--no-kernels] escape
-    hatch).  Kernels change evaluation {i speed} only — outputs,
-    firings and per-wire values stay bit-identical, which the
-    differential suites check exhaustively. *)
+    forces the generic CSR loop everywhere — the generic arm of the
+    kernel differential tests and benches.  Kernels change evaluation
+    {i speed} only — outputs, firings and per-wire values stay
+    bit-identical, which the differential suites check exhaustively. *)
 
 (** Kernel coverage of a compiled circuit: how many gates (and
     segments) evaluate through a specialized kernel vs the generic
@@ -274,10 +274,9 @@ val save : t -> sections
 (** O(num_segments) — the kernel table is built by deduplicating the
     segments' specs, everything else is shared with [t]. *)
 
-val load : ?kernels:bool -> ?recompile:bool -> sections -> (t, string) result
+val load : ?recompile:bool -> sections -> (t, string) result
 (** Validate and adopt sections (the vectors are shared, so they must
-    not be mutated afterwards).  [kernels:false] forces all-generic
-    dispatch regardless of the kernel sections.  [recompile] (default
+    not be mutated afterwards).  [recompile] (default
     [false]) ignores them and rebuilds every segment's kernel from the
     CSR pools — the artifact store's path when the persisted dispatch
     tags predate the current {!Kernel.format_rev}.  Otherwise each

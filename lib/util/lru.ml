@@ -8,7 +8,6 @@ type stats = {
 
 type ('k, 'v) t = {
   capacity : int;
-  equal : 'k -> 'k -> bool;
   mutable items : ('k * 'v) list;  (* most-recently-used first *)
   mutable size : int;
   mutable hits : int;
@@ -16,15 +15,15 @@ type ('k, 'v) t = {
   mutable evictions : int;
 }
 
-let create ~capacity ?(equal = ( = )) () =
+let create ~capacity () =
   if capacity < 1 then invalid_arg "Lru.create: capacity < 1";
-  { capacity; equal; items = []; size = 0; hits = 0; misses = 0; evictions = 0 }
+  { capacity; items = []; size = 0; hits = 0; misses = 0; evictions = 0 }
 
 (* Splits out the entry for [k], if present. *)
 let take t k =
   let rec go acc = function
     | [] -> None
-    | ((k', _) as entry) :: rest when t.equal k k' ->
+    | ((k', _) as entry) :: rest when k = k' ->
         Some (entry, List.rev_append acc rest)
     | entry :: rest -> go (entry :: acc) rest
   in
@@ -64,7 +63,7 @@ let add t k v =
   | Some (_, rest) -> t.items <- (k, v) :: rest
   | None -> insert t k v
 
-let mem t k = List.exists (fun (k', _) -> t.equal k k') t.items
+let mem t k = List.exists (fun (k', _) -> k = k') t.items
 
 let stats t =
   {

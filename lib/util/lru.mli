@@ -1,9 +1,8 @@
 (** A small keyed LRU cache with hit/miss/eviction counters.
 
-    Backs the compiled-circuit caches: {!Tcmm_threshold.Engine} keys
-    compiled [Packed.t] forms by circuit identity, and the serving
-    daemon's [Circuit_cache] keys whole built drivers by request spec.
-    Capacities are small (tens of entries), so the store is a
+    Backs the serving daemon's [Circuit_cache], which keys whole built
+    drivers by request spec.  Keys compare structurally.  Capacities
+    are small (tens of entries), so the store is a
     most-recently-used-first association list — O(capacity) per lookup,
     which is noise next to the cost of compiling a circuit. *)
 
@@ -17,9 +16,8 @@ type stats = {
   capacity : int;
 }
 
-val create : capacity:int -> ?equal:('k -> 'k -> bool) -> unit -> ('k, 'v) t
-(** [equal] defaults to structural [( = )].  Raises [Invalid_argument]
-    when [capacity < 1]. *)
+val create : capacity:int -> unit -> ('k, 'v) t
+(** Raises [Invalid_argument] when [capacity < 1]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Promotes the entry to most-recently-used; counts a hit or a miss. *)

@@ -137,7 +137,6 @@ let gen_metrics =
   let* eval_seconds = float_range 0. 1e4 in
   let* build_seconds = float_range 0. 1e4 in
   let* cache = gen_cache_stats in
-  let* engine = gen_cache_stats in
   let* accepted = int_range 0 100000 in
   let* shed = int_range 0 100000 in
   let* deadline_expired = int_range 0 100000 in
@@ -171,7 +170,6 @@ let gen_metrics =
     eval_seconds;
     build_seconds;
     cache;
-    engine;
     accepted;
     shed;
     deadline_expired;
@@ -266,7 +264,6 @@ let sample_metrics ~worker_id =
       latency_ms = { P.bounds = [| 1. |]; counts = [| 0; 0 |]; sum = 0.; count = 0 };
       firings_total = 0; eval_seconds = 0.; build_seconds = 0.;
       cache = { P.hits = 0; misses = 0; evictions = 0; size = 0; capacity = 1 };
-      engine = { P.hits = 0; misses = 0; evictions = 0; size = 0; capacity = 1 };
       accepted = 1; shed = 0; deadline_expired = 0; eval_failures = 0;
       slow_client_drops = 0; kernel_gates = 0; fallback_gates = 0;
       store_loads = 0; store_saves = 0; store_invalid = 0; worker_id;
@@ -327,134 +324,84 @@ let test_decode_rejects_garbage () =
   | Ok _ -> Alcotest.fail "accepted unknown tag"
   | Error _ -> ())
 
-(* Each version appends its metrics fields at the tail of the wire
-   layout, so an older peer's Metrics_result payload is byte-for-byte
-   the current encoding minus the trailing words: v6 added the six
-   session counters (48 bytes), v5 the [worker_id] word before them.
-   Synthesize older payloads by stripping those bytes and patching the
-   version byte: the decoder must accept them and zero the newer fields
-   while preserving everything else.  Version-gated tags must
-   conversely be rejected when carried in a frame that claims an older
-   version. *)
+(* One protocol version: a payload stamped with any other version byte
+   is refused by both decoders, with an error naming both versions.
+   Each case stamps payloads that version once decoded — its own
+   messages and the ones later versions added — so none of them can
+   slip through a leftover version gate. *)
 let patch_version v payload =
   let b = Bytes.of_string payload in
   Bytes.set b 0 (Char.chr v);
   Bytes.to_string b
 
-let test_v4_compat () =
-  let v6 = P.encode_response (P.Metrics_result (sample_metrics ~worker_id:7)) in
-  let v4 = patch_version 4 (String.sub v6 0 (String.length v6 - (8 * 7))) in
-  (match P.decode_response v4 with
-  | Ok (P.Metrics_result m) ->
-      S.check_int "v4 metrics decode zeroes worker_id" 0 m.P.worker_id;
-      S.check_bool "v4 metrics decode preserves the other fields" true
-        (P.equal_response
-           (P.Metrics_result { m with P.worker_id = 7 })
-           (P.Metrics_result (sample_metrics ~worker_id:7)))
-  | Ok _ -> Alcotest.fail "v4 metrics payload decoded to a different response"
-  | Error e -> Alcotest.fail ("v4 metrics payload rejected: " ^ e));
-  (match P.decode_request (patch_version 4 (P.encode_request P.Fleet)) with
-  | Ok _ -> Alcotest.fail "Fleet request accepted in a v4 frame"
-  | Error _ -> ());
-  let ws =
-    [ { P.fw_id = 1; fw_pid = 42; fw_addr = "127.0.0.1:9000";
-        fw_restarts = 0; fw_alive = true } ]
-  in
-  (match
-     P.decode_response (patch_version 4 (P.encode_response (P.Fleet_result ws)))
-   with
-  | Ok _ -> Alcotest.fail "Fleet_result accepted in a v4 frame"
-  | Error _ -> ());
-  (* sanity: the same payloads are fine at the current version *)
-  (match P.decode_request (P.encode_request P.Fleet) with
-  | Ok P.Fleet -> ()
-  | Ok _ -> Alcotest.fail "Fleet request round-trip changed shape"
-  | Error e -> Alcotest.fail ("Fleet request round-trip failed: " ^ e));
-  match P.decode_response (P.encode_response (P.Fleet_result ws)) with
-  | Ok r ->
-      S.check_bool "Fleet_result round-trips at v5" true
-        (P.equal_response r (P.Fleet_result ws))
-  | Error e -> Alcotest.fail ("Fleet_result round-trip failed: " ^ e)
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
 
-(* v6 gating: a v5 peer's metrics payload (the six session counters
-   stripped off the tail) must decode with those counters zeroed, and
-   the session tags must be rejected in v5 frames while round-tripping
-   at v6. *)
-let test_v5_compat () =
-  let v6 = P.encode_response (P.Metrics_result (sample_metrics ~worker_id:3)) in
-  let v5 = patch_version 5 (String.sub v6 0 (String.length v6 - (8 * 6))) in
-  (match P.decode_response v5 with
-  | Ok (P.Metrics_result m) ->
-      S.check_int "v5 metrics decode zeroes session counters" 0
-        (m.P.sessions_opened + m.P.sessions_active + m.P.sessions_evicted
-        + m.P.session_updates + m.P.session_dirty_gates + m.P.session_gates);
-      S.check_bool "v5 metrics decode preserves the other fields" true
-        (P.equal_response (P.Metrics_result m)
-           (P.Metrics_result (sample_metrics ~worker_id:3)))
-  | Ok _ -> Alcotest.fail "v5 metrics payload decoded to a different response"
-  | Error e -> Alcotest.fail ("v5 metrics payload rejected: " ^ e));
-  let spec =
-    { P.kind = P.Triangles; algo = "strassen"; schedule = "uniform:2x3";
-      d = 0; n = 4; entry_bits = 1; signed = false; tau = 6; kronpow = false }
+let check_refused v ~requests ~responses =
+  let needle = Printf.sprintf "version %d (want %d)" v P.version in
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s stamped v%d was decoded" what v
+    | Error e ->
+        if not (contains ~needle e) then
+          Alcotest.failf "%s stamped v%d: error %S does not name both versions"
+            what v e
   in
   List.iter
     (fun req ->
-      (match P.decode_request (patch_version 5 (P.encode_request req)) with
-      | Ok _ -> Alcotest.fail "session request accepted in a v5 frame"
-      | Error _ -> ());
-      match P.decode_request (P.encode_request req) with
-      | Ok req' ->
-          S.check_bool "session request round-trips at v6" true
-            (P.equal_request req req')
-      | Error e -> Alcotest.fail ("session request round-trip failed: " ^ e))
-    [ P.Open_session (spec, F.Matrix.init ~rows:4 ~cols:4 (fun _ _ -> 0));
-      P.Update (1, [| (0, true); (3, false) |]);
-      P.Close_session 1 ];
+      refused "request" (P.decode_request (patch_version v (P.encode_request req)));
+      S.check_bool "request round-trips unstamped" true
+        (match P.decode_request (P.encode_request req) with
+        | Ok req' -> P.equal_request req req'
+        | Error _ -> false))
+    requests;
   List.iter
     (fun resp ->
-      (match P.decode_response (patch_version 5 (P.encode_response resp)) with
-      | Ok _ -> Alcotest.fail "session response accepted in a v5 frame"
-      | Error _ -> ());
-      match P.decode_response (P.encode_response resp) with
-      | Ok r ->
-          S.check_bool "session response round-trips at v6" true
-            (P.equal_response resp r)
-      | Error e -> Alcotest.fail ("session response round-trip failed: " ^ e))
-    [ P.Session_opened { P.so_sid = 1; so_fires = true; so_firings = 42 };
-      P.Update_result
-        { P.ur_fires = false; ur_firings = 12; ur_dirty_gates = 3;
-          ur_gates = 100 };
-      P.Session_closed ]
+      refused "response"
+        (P.decode_response (patch_version v (P.encode_response resp)));
+      S.check_bool "response round-trips unstamped" true
+        (match P.decode_response (P.encode_response resp) with
+        | Ok resp' -> P.equal_response resp resp'
+        | Error _ -> false))
+    responses
 
-(* v7 gating: the spec gained a trailing [kronpow] byte and the Conv
-   kind / Run_conv / Conv_result tags.  A v6 peer's spec payload (the
-   kronpow byte stripped off the tail) must decode flat; the conv tags
-   and the Conv kind must be rejected in v6 frames while round-tripping
-   at v7. *)
+let compat_spec kind =
+  { P.kind; algo = "strassen"; schedule = "thm45"; d = 2; n = 4;
+    entry_bits = 1; signed = false; tau = 0; kronpow = false }
+
+let test_v4_compat () =
+  check_refused 4
+    ~requests:[ P.Ping; P.Metrics; P.Compile (compat_spec P.Matmul); P.Fleet ]
+    ~responses:
+      [ P.Pong; P.Overloaded;
+        P.Metrics_result (sample_metrics ~worker_id:7);
+        P.Compiled
+          { P.cached = false; loaded = true; build_seconds = 0.5;
+            stats = Tcmm_threshold.Stats.zero };
+        P.Fleet_result
+          [ { P.fw_id = 1; fw_pid = 42; fw_addr = "127.0.0.1:9000";
+              fw_restarts = 0; fw_alive = true } ] ]
+
+let test_v5_compat () =
+  check_refused 5
+    ~requests:
+      [ P.Fleet;
+        P.Open_session
+          (compat_spec P.Triangles, F.Matrix.init ~rows:4 ~cols:4 (fun _ _ -> 0));
+        P.Update (1, [| (0, true); (3, false) |]);
+        P.Close_session 1 ]
+    ~responses:
+      [ P.Metrics_result (sample_metrics ~worker_id:3);
+        P.Session_opened { P.so_sid = 1; so_fires = true; so_firings = 42 };
+        P.Update_result
+          { P.ur_fires = false; ur_firings = 12; ur_dirty_gates = 3;
+            ur_gates = 100 };
+        P.Session_closed ]
+
+(* v6 and v7 were the last two versions before this one: the conv
+   messages and the kronpow spec flag joined in v7. *)
 let test_v6_compat () =
-  let spec kind kronpow =
-    { P.kind; algo = "strassen"; schedule = "thm45"; d = 2; n = 4;
-      entry_bits = 1; signed = false; tau = 0; kronpow }
-  in
-  (* Compile's payload is exactly the spec, so stripping the final byte
-     of the v7 encoding is precisely the v6 wire layout. *)
-  let v7 = P.encode_request (P.Compile (spec P.Matmul true)) in
-  let v6 = patch_version 6 (String.sub v7 0 (String.length v7 - 1)) in
-  (match P.decode_request v6 with
-  | Ok (P.Compile s) ->
-      S.check_bool "v6 spec decode is flat" false s.P.kronpow;
-      S.check_bool "v6 spec decode preserves the other fields" true
-        (s = spec P.Matmul false)
-  | Ok _ -> Alcotest.fail "v6 spec payload decoded to a different request"
-  | Error e -> Alcotest.fail ("v6 spec payload rejected: " ^ e));
-  (* The Conv kind byte itself is version-gated. *)
-  let v7_conv = P.encode_request (P.Compile (spec P.Conv false)) in
-  (match
-     P.decode_request
-       (patch_version 6 (String.sub v7_conv 0 (String.length v7_conv - 1)))
-   with
-  | Ok _ -> Alcotest.fail "Conv kind accepted in a v6 frame"
-  | Error _ -> ());
   let job =
     { P.cj_q = 2; cj_stride = 1;
       cj_image = P.Image.init ~channels:1 ~height:3 ~width:3 (fun _ y x -> y + x);
@@ -462,23 +409,19 @@ let test_v6_compat () =
         [| P.Image.init ~channels:1 ~height:2 ~width:2 (fun _ y x -> y - x) |];
     }
   in
-  let req = P.Run_conv (spec P.Conv false, job) in
-  (match P.decode_request (patch_version 6 (P.encode_request req)) with
-  | Ok _ -> Alcotest.fail "Run_conv accepted in a v6 frame"
-  | Error _ -> ());
-  (match P.decode_request (P.encode_request req) with
-  | Ok req' ->
-      S.check_bool "Run_conv round-trips at v7" true (P.equal_request req req')
-  | Error e -> Alcotest.fail ("Run_conv round-trip failed: " ^ e));
-  let resp = P.Conv_result ([| [| [| 1; -2 |]; [| 0; 3 |] |] |], 42) in
-  (match P.decode_response (patch_version 6 (P.encode_response resp)) with
-  | Ok _ -> Alcotest.fail "Conv_result accepted in a v6 frame"
-  | Error _ -> ());
-  match P.decode_response (P.encode_response resp) with
-  | Ok r ->
-      S.check_bool "Conv_result round-trips at v7" true
-        (P.equal_response resp r)
-  | Error e -> Alcotest.fail ("Conv_result round-trip failed: " ^ e)
+  List.iter
+    (fun v ->
+      check_refused v
+        ~requests:
+          [ P.Compile { (compat_spec P.Matmul) with P.kronpow = true };
+            P.Compile (compat_spec P.Conv);
+            P.Run_conv (compat_spec P.Conv, job);
+            P.Update (2, [| (5, true) |]) ]
+        ~responses:
+          [ P.Conv_result ([| [| [| 1; -2 |]; [| 0; 3 |] |] |], 42);
+            P.Metrics_result (sample_metrics ~worker_id:2);
+            P.Session_closed ])
+    [ 6; 7 ]
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                            *)

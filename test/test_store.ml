@@ -85,26 +85,29 @@ let race_spec =
    [sum loads + sum saves = K]. *)
 let race_workers = 4
 
+let store_config dir =
+  {
+    (Sv.Server.default_config (P.Tcp ("127.0.0.1", 0))) with
+    Sv.Server.store = Some dir;
+  }
+
+(* A forked server on an ephemeral port: its pid and bound address. *)
+let start_server cfg =
+  let listen_fd, addr = Sv.Server.bind cfg in
+  let cfg = { cfg with Sv.Server.addr = addr } in
+  match Unix.fork () with
+  | 0 ->
+      (try Sv.Server.serve_fd cfg listen_fd with _ -> ());
+      Unix._exit 0
+  | pid ->
+      Unix.close listen_fd;
+      (pid, addr)
+
 let test_concurrent_writers () =
   with_temp_dir @@ fun dir ->
-  let cfg =
-    {
-      (Sv.Server.default_config (P.Tcp ("127.0.0.1", 0))) with
-      Sv.Server.store = Some dir;
-    }
+  let servers =
+    Array.init race_workers (fun _ -> start_server (store_config dir))
   in
-  let start () =
-    let listen_fd, addr = Sv.Server.bind cfg in
-    let cfg = { cfg with Sv.Server.addr = addr } in
-    match Unix.fork () with
-    | 0 ->
-        (try Sv.Server.serve_fd cfg listen_fd with _ -> ());
-        Unix._exit 0
-    | pid ->
-        Unix.close listen_fd;
-        (pid, addr)
-  in
-  let servers = Array.init race_workers (fun _ -> start ()) in
   let killed = ref false in
   let kill_all () =
     if not !killed then begin
@@ -185,6 +188,59 @@ let test_concurrent_writers () =
   | Ok a -> S.check_bool "post-race artifact verifies" true (a.A.a_bytes > 0)
   | Error m -> Alcotest.failf "post-race artifact invalid: %s" m
 
+(* Write-behind from one circuit cache, warm load in another: the loaded
+   circuit is the fresh build, kernel dispatch included, and a server
+   whose first request for the spec is that load counts the loaded
+   circuit in its kernel-coverage metrics. *)
+let test_warm_load_coverage () =
+  with_temp_dir @@ fun dir ->
+  let find_or_build () =
+    let store =
+      match St.create ~dir () with
+      | Ok st -> st
+      | Error m -> Alcotest.failf "cannot open store: %s" m
+    in
+    let cc = Sv.Circuit_cache.create ~store ~capacity:2 () in
+    match Sv.Circuit_cache.find_or_build cc race_spec with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "find_or_build: %s" m
+  in
+  let fresh, fresh_outcome = find_or_build () in
+  S.check_bool "first cache builds" true (fresh_outcome = Sv.Circuit_cache.Built);
+  let warm, warm_outcome = find_or_build () in
+  S.check_bool "second cache loads warm" true
+    (warm_outcome = Sv.Circuit_cache.Loaded);
+  S.check_bool "loaded circuit = fresh build" true
+    (Th.Packed.structural_equal fresh.Sv.Circuit_cache.packed
+       warm.Sv.Circuit_cache.packed);
+  let cov = warm.Sv.Circuit_cache.coverage in
+  S.check_bool "equal coverage" true (cov = fresh.Sv.Circuit_cache.coverage);
+  S.check_bool "kernels survive the round trip" true
+    (cov.Th.Packed.kernel_segments > 0);
+  let pid, addr = start_server (store_config dir) in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+  @@ fun () ->
+  let cl = Sv.Client.connect addr in
+  Fun.protect ~finally:(fun () -> Sv.Client.close cl) @@ fun () ->
+  (match Sv.Client.request cl (P.Compile race_spec) with
+  | Ok (P.Compiled c) -> S.check_bool "server loads warm" true c.P.loaded
+  | Ok _ -> Alcotest.fail "unexpected reply to compile"
+  | Error m -> Alcotest.fail m);
+  match Sv.Client.request cl P.Metrics with
+  | Ok (P.Metrics_result m) ->
+      S.check_int "one store load" 1 m.P.store_loads;
+      S.check_int "no build" 0 m.P.store_saves;
+      S.check_bool "kernel gates counted" true (m.P.kernel_gates > 0);
+      S.check_int "kernel gates of the loaded circuit" cov.Th.Packed.kernel_gates
+        m.P.kernel_gates;
+      S.check_int "fallback gates of the loaded circuit"
+        cov.Th.Packed.fallback_gates m.P.fallback_gates
+  | Ok _ -> Alcotest.fail "unexpected reply to metrics"
+  | Error m -> Alcotest.fail m
+
 (* ------------------------------------------------------------------ *)
 (* Fixtures: one trace circuit (template kernels), one matmul         *)
 (* (materialized, no kernels — the empty kernel-index case)          *)
@@ -197,7 +253,7 @@ let trace_fixture =
        T.Trace_circuit.build ~mode:Th.Builder.Direct ~templates:true
          ~algo:strassen ~schedule ~entry_bits:2 ~tau:3 ~n:2 ()
      in
-     let packed = T.Trace_circuit.pack ~kernels:true built in
+     let packed = T.Trace_circuit.pack built in
      let io =
        A.Trace_io
          {
@@ -234,7 +290,7 @@ let matmul_fixture =
        T.Matmul_circuit.build ~mode:Th.Builder.Materialize ~algo:strassen
          ~schedule ~signed_inputs:false ~entry_bits:2 ~n:2 ()
      in
-     let packed = T.Matmul_circuit.pack ~kernels:false built in
+     let packed = T.Matmul_circuit.pack built in
      let io =
        A.Matmul_io
          {
@@ -392,7 +448,7 @@ let test_no_boxed_loads () =
     }
   in
   with_temp_path @@ fun path ->
-  (match A.write ~path meta (T.Matmul_circuit.pack ~kernels:true built) with
+  (match A.write ~path meta (T.Matmul_circuit.pack built) with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "write failed: %s" m);
   let p =
@@ -765,6 +821,8 @@ let () =
           Alcotest.test_case "stale kernel revision recompiles" `Quick
             test_stale_kernel_rev_recompiles;
           Alcotest.test_case "gc sweeps dead files" `Quick test_gc;
+          Alcotest.test_case "warm load keeps kernels and counts coverage"
+            `Quick test_warm_load_coverage;
         ] );
       ( "corruption",
         [ test_truncation; test_bit_flips; test_section_flips_detected ] );

@@ -175,14 +175,17 @@ let test_kernel_differential () =
               in
               let built_k = build () and built_g = build () in
               let p_k = Matmul_circuit.pack built_k in
-              let p_g = Matmul_circuit.pack ~kernels:false built_g in
+              let p_g =
+                Packed.of_arena ~kernels:false
+                  (Builder.arena built_g.Matmul_circuit.builder)
+              in
               let cov = Packed.coverage p_k in
               Alcotest.(check bool)
                 (label ^ ": kernels cover some segments")
                 true
                 (cov.Packed.kernel_segments > 0);
               Alcotest.(check int)
-                (label ^ ": no-kernels is all-fallback")
+                (label ^ ": kernels:false is all-fallback")
                 0 (Packed.coverage p_g).Packed.kernel_segments;
               let lanes = 4 in
               let pairs =

@@ -994,7 +994,7 @@ let test_packed_batch_lane_boundaries () =
   let cov = Packed.coverage p_k in
   S.check_bool "stamped segments have kernels" true
     (cov.Packed.kernel_segments > 0 && cov.Packed.kernel_gates > 0);
-  S.check_int "no-kernels compile is all-fallback" 0
+  S.check_int "kernels:false compile is all-fallback" 0
     (Packed.coverage p_g).Packed.kernel_segments;
   let ws = Packed.workspace () in
   let c = Packed.circuit p_k in
@@ -1245,47 +1245,60 @@ let test_packed_load_rejects_hostile_sections () =
   refused "wire count past 2^31"
     { z with Packed.sec_num_inputs = (1 lsl 31) + 1 }
 
-let test_engine_cache_reuse () =
-  let b = Builder.create () in
-  let x = Builder.add_input b in
-  let g = Builder.add_gate b ~inputs:[| x |] ~weights:[| 1 |] ~threshold:1 in
-  Builder.output b g;
-  let c = Builder.finalize b in
-  let cache = Engine.create_cache () in
-  let p1 = Engine.packed cache c in
-  let p2 = Engine.packed cache c in
-  S.check_bool "compiled once" true (p1 == p2);
-  let r_packed = Engine.run cache c [| true |] in
-  let r_ref = Engine.run ~engine:Simulator.Reference cache c [| true |] in
-  S.check_bool "engines agree" true (same_result r_packed r_ref)
+(* The drivers memoize their compiled form on the built value: a
+   Materialize build is compiled once by [Packed.of_circuit], and every
+   later [pack] or packed run reuses it. *)
+let small_matmul () =
+  Tcmm.Matmul_circuit.build ~algo:Tcmm_fastmm.Instances.strassen
+    ~schedule:(Tcmm.Level_schedule.full ~l:1) ~entry_bits:2 ~n:2 ()
 
-(* Regression: the cache used to hold a single slot, so alternating
-   between two circuits recompiled on every call. *)
-let test_engine_cache_alternation () =
-  let mk_circuit threshold =
-    let b = Builder.create () in
-    let x = Builder.add_input b in
-    let g = Builder.add_gate b ~inputs:[| x |] ~weights:[| 2 |] ~threshold in
-    Builder.output b g;
-    Builder.finalize b
-  in
-  let c1 = mk_circuit 1 and c2 = mk_circuit 2 in
-  let cache = Engine.create_cache ~capacity:4 () in
-  let p1 = Engine.packed cache c1 in
-  let p2 = Engine.packed cache c2 in
-  for _ = 1 to 3 do
-    S.check_bool "c1 stays compiled" true (Engine.packed cache c1 == p1);
-    S.check_bool "c2 stays compiled" true (Engine.packed cache c2 == p2)
+let small_trace () =
+  Tcmm.Trace_circuit.build ~algo:Tcmm_fastmm.Instances.strassen
+    ~schedule:(Tcmm.Level_schedule.full ~l:1) ~entry_bits:2 ~tau:3 ~n:2 ()
+
+let test_engine_cache_reuse () =
+  let built = small_matmul () in
+  let p = Tcmm.Matmul_circuit.pack built in
+  S.check_bool "compiled once" true (Tcmm.Matmul_circuit.pack built == p);
+  let rng = Tcmm_util.Prng.create ~seed:12 in
+  for _ = 1 to 4 do
+    let a = Tcmm_fastmm.Matrix.random rng ~rows:2 ~cols:2 ~lo:0 ~hi:3 in
+    let b = Tcmm_fastmm.Matrix.random rng ~rows:2 ~cols:2 ~lo:0 ~hi:3 in
+    let packed = Tcmm.Matmul_circuit.run built ~a ~b in
+    let reference =
+      Tcmm.Matmul_circuit.run ~engine:Simulator.Reference built ~a ~b
+    in
+    S.check_bool "engines agree" true (Tcmm_fastmm.Matrix.equal packed reference);
+    S.check_bool "engines match the integer product" true
+      (Tcmm_fastmm.Matrix.equal packed (Tcmm_fastmm.Matrix.mul a b))
   done;
-  let st = Engine.stats cache in
-  S.check_int "misses" 2 st.Tcmm_util.Lru.misses;
-  S.check_int "hits" 6 st.Tcmm_util.Lru.hits;
-  S.check_int "evictions" 0 st.Tcmm_util.Lru.evictions;
-  (* Physically equal circuits share an entry; structurally equal ones
-     do not (identity keying). *)
-  let c3 = mk_circuit 1 in
-  let p3 = Engine.packed cache c3 in
-  S.check_bool "identity-keyed" true (p3 != p1)
+  S.check_bool "runs reuse the pack" true (Tcmm.Matmul_circuit.pack built == p);
+  let tri = Tcmm.Naive_circuits.triangle_threshold ~n:4 ~tau:1 () in
+  let k4 = Tcmm_fastmm.Matrix.init ~rows:4 ~cols:4 (fun i j -> if i = j then 0 else 1) in
+  S.check_bool "naive engines agree" true
+    (Tcmm.Naive_circuits.triangle_run tri k4
+    = Tcmm.Naive_circuits.triangle_run ~engine:Simulator.Reference tri k4);
+  S.check_bool "naive packed form compiled on the packed run" true
+    (Lazy.is_val tri.Tcmm.Naive_circuits.packed)
+
+(* Alternating runs over two built circuits never recompile either:
+   each built value keeps its own compiled form, and two structurally
+   equal builds are two values with two packs. *)
+let test_engine_cache_alternation () =
+  let mm = small_matmul () and tr = small_trace () in
+  let p_mm = Tcmm.Matmul_circuit.pack mm and p_tr = Tcmm.Trace_circuit.pack tr in
+  let m = Tcmm_fastmm.Matrix.identity 2 in
+  for _ = 1 to 3 do
+    ignore (Tcmm.Matmul_circuit.run mm ~a:m ~b:m);
+    ignore (Tcmm.Trace_circuit.run tr m);
+    S.check_bool "matmul stays compiled" true (Tcmm.Matmul_circuit.pack mm == p_mm);
+    S.check_bool "trace stays compiled" true (Tcmm.Trace_circuit.pack tr == p_tr)
+  done;
+  let twin = small_matmul () in
+  let p_twin = Tcmm.Matmul_circuit.pack twin in
+  S.check_bool "equal builds get distinct packs" true (p_twin != p_mm);
+  S.check_bool "distinct packs are structurally equal" true
+    (Packed.structural_equal p_twin p_mm)
 
 let () =
   Alcotest.run "tcmm_threshold"
