@@ -737,8 +737,6 @@ let e24 ?(ns = [ 8; 16; 32 ]) () =
         let meta =
           {
             A.m_key = key;
-            m_templates = true;
-            m_kernels = true;
             m_build_seconds = t_cold;
             m_stats = T.Matmul_circuit.stats built;
             m_io =
@@ -1278,16 +1276,11 @@ let e26 ?(updates = 32) ?(verify_updates = 12)
 
 (* E27: the algorithm/workload matrix — exact circuit accounting for
    every bundled fast-matmul algorithm (Strassen, Winograd's 15-product
-   variant, the Kronecker-squared <4,4,4;49>, and Laderman's <3,3,3;23>)
-   with and without the Kronecker-power linear-layer factoring.  All
-   builds are count-only (the accounting is exact either way); value
-   identity of the kronpow arm is locked down separately by the test
-   suite and the differential fuzzer, so this bench charts size only:
-   gates/edges/depth per (algorithm, N) against the sparsity profile's
-   gamma^d — the paper's Section 3 knob that drives the subcubic wire
-   exponent — plus the measured kronpow reduction.  The kronpow arm is
-   gated: its admissibility rule promises gates and edges never exceed
-   the flat build, and any regression fails the bench hard.  Recorded as
+   variant, the Kronecker-squared <4,4,4;49>, and Laderman's <3,3,3;23>).
+   All builds are count-only (the accounting is exact either way), so
+   this bench charts size only: gates/edges/depth per (algorithm, N)
+   against the sparsity profile's gamma^d — the paper's Section 3 knob
+   that drives the subcubic wire exponent.  Recorded as
    BENCH_algos.json. *)
 let e27 ?(entry_bits = 6) ?(d = 2)
     ?(matrix =
@@ -1297,8 +1290,7 @@ let e27 ?(entry_bits = 6) ?(d = 2)
         ("strassen^2", [ 16 ]);
         ("laderman", [ 9; 27 ]);
       ]) () =
-  Bench_util.header
-    "E27: algorithm matrix (gates/edges per algo x N, kronpow arms, gamma^d)";
+  Bench_util.header "E27: algorithm matrix (gates/edges per algo x N, gamma^d)";
   let module Th = Tcmm_threshold in
   let rows =
     List.concat_map
@@ -1316,29 +1308,13 @@ let e27 ?(entry_bits = 6) ?(d = 2)
             let schedule =
               T.Level_schedule.resolve ~algo ~name:"thm45" ~d ~n
             in
-            let build ~kronpow =
-              let t0 = Unix.gettimeofday () in
-              let b =
-                T.Matmul_circuit.build ~mode:Th.Builder.Count_only ~kronpow
-                  ~algo ~schedule ~entry_bits ~n ()
-              in
-              (T.Matmul_circuit.stats b, Unix.gettimeofday () -. t0)
+            let t0 = Unix.gettimeofday () in
+            let st =
+              T.Matmul_circuit.stats
+                (T.Matmul_circuit.build ~mode:Th.Builder.Count_only ~algo
+                   ~schedule ~entry_bits ~n ())
             in
-            let flat, t_flat = build ~kronpow:false in
-            let kron, t_kron = build ~kronpow:true in
-            if
-              kron.Th.Stats.gates > flat.Th.Stats.gates
-              || kron.Th.Stats.edges > flat.Th.Stats.edges
-            then
-              failwith
-                (Printf.sprintf
-                   "e27: kronpow grew %s N=%d (gates %d -> %d, edges %d -> %d)"
-                   name n flat.Th.Stats.gates kron.Th.Stats.gates
-                   flat.Th.Stats.edges kron.Th.Stats.edges);
-            let reduction part whole =
-              1. -. (float_of_int part /. float_of_int (max 1 whole))
-            in
-            let edge_red = reduction kron.Th.Stats.edges flat.Th.Stats.edges in
+            let seconds = Unix.gettimeofday () -. t0 in
             Bench_util.record ~experiment:"e27"
               [
                 ("algo", Bench_util.Str name);
@@ -1348,47 +1324,28 @@ let e27 ?(entry_bits = 6) ?(d = 2)
                 ("omega", Bench_util.Float prof.F.Sparsity.omega);
                 ("gamma", Bench_util.Float gamma);
                 ("gamma_pow_d", Bench_util.Float gamma_d);
-                ("flat_gates", Bench_util.Int flat.Th.Stats.gates);
-                ("flat_edges", Bench_util.Int flat.Th.Stats.edges);
-                ("flat_depth", Bench_util.Int flat.Th.Stats.depth);
-                ("kronpow_gates", Bench_util.Int kron.Th.Stats.gates);
-                ("kronpow_edges", Bench_util.Int kron.Th.Stats.edges);
-                ("kronpow_depth", Bench_util.Int kron.Th.Stats.depth);
-                ( "kronpow_gate_reduction",
-                  Bench_util.Float
-                    (reduction kron.Th.Stats.gates flat.Th.Stats.gates) );
-                ("kronpow_edge_reduction", Bench_util.Float edge_red);
-                ("flat_build_seconds", Bench_util.Float t_flat);
-                ("kronpow_build_seconds", Bench_util.Float t_kron);
+                ("gates", Bench_util.Int st.Th.Stats.gates);
+                ("edges", Bench_util.Int st.Th.Stats.edges);
+                ("depth", Bench_util.Int st.Th.Stats.depth);
+                ("build_seconds", Bench_util.Float seconds);
               ];
             [
               Tb.Str name;
               Tb.Int n;
               Tb.Float gamma;
               Tb.Float gamma_d;
-              Tb.Int flat.Th.Stats.gates;
-              Tb.Int flat.Th.Stats.edges;
-              Tb.Int kron.Th.Stats.edges;
-              Tb.Str
-                (Printf.sprintf "%.3f%% (-%d)" (100. *. edge_red)
-                   (flat.Th.Stats.edges - kron.Th.Stats.edges));
-              Tb.Str
-                (Printf.sprintf "%d+%d" flat.Th.Stats.depth
-                   (kron.Th.Stats.depth - flat.Th.Stats.depth));
+              Tb.Int st.Th.Stats.gates;
+              Tb.Int st.Th.Stats.edges;
+              Tb.Int st.Th.Stats.depth;
             ])
           ns)
       matrix
   in
   Tb.print
     ~title:
-      (Printf.sprintf
-         "matmul thm45 d=%d, %d-bit entries: flat vs kronpow accounting"
+      (Printf.sprintf "matmul thm45 d=%d, %d-bit entries: circuit accounting"
          d entry_bits)
-    ~header:
-      [
-        "algo"; "N"; "gamma"; "gamma^d"; "gates"; "edges"; "kron edges";
-        "edge cut"; "depth+kron";
-      ]
+    ~header:[ "algo"; "N"; "gamma"; "gamma^d"; "gates"; "edges"; "depth" ]
     ~rows
 
 let all_experiments =
@@ -1437,8 +1394,8 @@ let all_experiments =
       fun () ->
         e26 ~updates:12 ~verify_updates:8 ~batch_sizes:[ 1; 16 ] ~gate:3.0 ()
     );
-    (* The e27 smoke variant trims the matrix to one size per algorithm
-       but keeps the kronpow never-grows gate. *)
+    (* The e27 smoke variant trims the matrix to one size per
+       algorithm. *)
     ("e27", fun () -> e27 ());
     ( "e27-smoke",
       fun () ->

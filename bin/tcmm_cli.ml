@@ -81,15 +81,6 @@ let profile_build_term =
     & info [ "profile-build" ]
         ~doc:"Print the construct / stamp / lower phase breakdown of each build.")
 
-let kronpow_term =
-  Arg.(
-    value & flag
-    & info [ "kronpow" ]
-        ~doc:
-          "Build the linear layers with the Kronecker-power sum-tree \
-           factoring (value-identical circuits, fewer gates and edges at \
-           large n, +2 depth per factored step).")
-
 let profile_eval_term =
   Arg.(
     value & flag
@@ -771,7 +762,7 @@ let fleet_status_cmd =
     Term.(const run $ control_term)
 
 let request_cmd =
-  let run addr what algo n d bits sched signed tau kronpow seed count =
+  let run addr what algo n d bits sched signed tau seed count =
     let algo_name = algo.F.Bilinear.name in
     let kind =
       match what with
@@ -781,7 +772,7 @@ let request_cmd =
     in
     let spec =
       { P.kind; algo = algo_name; schedule = sched; d; n; entry_bits = bits;
-        signed; tau; kronpow }
+        signed; tau; kronpow = false }
     in
     let fail msg =
       Format.eprintf "tcmm request: %s@." msg;
@@ -914,7 +905,7 @@ let request_cmd =
     (Cmd.info "request" ~doc:"Query a running tcmm serve daemon.")
     Term.(
       const run $ addr_term $ what_term $ algo_term $ n_term $ d_term $ bits_term
-      $ schedule_term $ signed_term $ tau_term $ kronpow_term $ seed_term
+      $ schedule_term $ signed_term $ tau_term $ seed_term
       $ count_term)
 
 (* Served convolutional inference: draw a deterministic image/kernel
@@ -923,7 +914,7 @@ let request_cmd =
    plane be bit-identical to the direct convolution computed locally. *)
 let infer_cmd =
   let module Cn = Tcmm_convnet in
-  let run addr algo d bits sched signed kronpow q stride channels height width
+  let run addr algo d bits sched signed q stride channels height width
       nkernels n_opt seed count =
     let fail msg =
       Format.eprintf "tcmm infer: %s@." msg;
@@ -956,7 +947,7 @@ let infer_cmd =
         let n = Option.value n_opt ~default:auto_n in
         let spec =
           { P.kind = P.Conv; algo = algo.F.Bilinear.name; schedule = sched; d;
-            n; entry_bits = bits; signed; tau = 0; kronpow }
+            n; entry_bits = bits; signed; tau = 0; kronpow = false }
         in
         let jobs =
           List.map
@@ -1008,10 +999,9 @@ let infer_cmd =
                     "%d/%d served inferences bit-identical to direct \
                      convolution (%d errors) in %.3fs — %d %dx%dx%d \
                      image(s), %d %dx%d kernel(s), %dx%d score planes via \
-                     n=%d circuit%s@."
+                     n=%d circuit@."
                     !correct count !errors dt count channels height width
-                    nkernels q q out_h out_w n
-                    (if kronpow then " (kronpow)" else "");
+                    nkernels q q out_h out_w n;
                   if !correct = count then 0 else 1)
             with Unix.Unix_error (e, _, _) ->
               fail
@@ -1069,7 +1059,7 @@ let infer_cmd =
           plane is checked bit-identical against the direct convolution.")
     Term.(
       const run $ addr_term $ algo_term $ d_term $ bits_term $ schedule_term
-      $ signed_term $ kronpow_term $ q_term $ stride_term $ channels_term
+      $ signed_term $ q_term $ stride_term $ channels_term
       $ height_term $ width_term $ kernels_term $ n_term $ seed_term
       $ count_term)
 
@@ -1225,7 +1215,7 @@ let store_dir_term =
    (or another `compile`) finds the artifacts warm.  A spec already in
    the store is loaded (and verified) rather than rebuilt. *)
 let compile_cmd =
-  let run store_dir what algo ns d bits sched signed tau kronpow verbose =
+  let run store_dir what algo ns d bits sched signed tau verbose =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning));
     let kind =
@@ -1245,7 +1235,7 @@ let compile_cmd =
           (fun n ->
             let spec =
               { P.kind; algo = algo.F.Bilinear.name; schedule = sched; d; n;
-                entry_bits = bits; signed; tau; kronpow }
+                entry_bits = bits; signed; tau; kronpow = false }
             in
             let key = Tcmm_server.Circuit_cache.key spec in
             match Tcmm_server.Circuit_cache.find_or_build cc spec with
@@ -1300,8 +1290,7 @@ let compile_cmd =
           becomes a single mmap load instead of a multi-second build.")
     Term.(
       const run $ store_dir_term $ what_term $ algo_term $ ns_term $ d_term
-      $ bits_term $ schedule_term $ signed_term $ tau_term $ kronpow_term
-      $ verbose_term)
+      $ bits_term $ schedule_term $ signed_term $ tau_term $ verbose_term)
 
 let artifacts_cmd =
   let module A = Tcmm_store.Artifact in

@@ -14,7 +14,6 @@ type t = {
   tau : int;
   seed : int;
   flips : (int * int) list list;
-  kronpow : bool;
 }
 
 let kind_name = function Trace -> "trace" | Matmul -> "matmul" | Conv -> "conv"
@@ -69,18 +68,16 @@ let flips_of_string s =
     |> Result.map List.rev
 
 let pp ppf c =
-  Format.fprintf ppf "%s/%s/%s d=%d n=%d bits=%d%s tau=%d seed=%d%s%s"
+  Format.fprintf ppf "%s/%s/%s d=%d n=%d bits=%d%s tau=%d seed=%d%s"
     (kind_name c.kind) c.algo c.schedule c.d c.n c.entry_bits
     (if c.signed then " signed" else "")
     c.tau c.seed
     (if c.flips = [] then "" else " flips=" ^ flips_to_string c.flips)
-    (if c.kronpow then " kronpow" else "")
 
 let build_key c =
-  Printf.sprintf "%s|%s|%s|%d|%d|%d|%b|%d%s" (kind_name c.kind) c.algo
+  Printf.sprintf "%s|%s|%s|%d|%d|%d|%b|%d" (kind_name c.kind) c.algo
     c.schedule c.d c.n c.entry_bits c.signed
     (match c.kind with Trace -> c.tau | Matmul | Conv -> 0)
-    (if c.kronpow then "|kronpow" else "")
 
 let algo_of_name name =
   match
@@ -158,8 +155,11 @@ let to_string c =
     (* Written only when present, so pre-incremental corpus files are
        reproduced byte-for-byte. *)
     @ (if c.flips = [] then [] else [ "flips " ^ flips_to_string c.flips ])
-    @ (if c.kronpow then [ "kronpow true" ] else [])
     @ [ "" ])
+
+let known_fields =
+  [ "kind"; "algo"; "schedule"; "d"; "n"; "entry_bits"; "signed"; "tau";
+    "seed"; "flips" ]
 
 let of_string s =
   let ( let* ) = Result.bind in
@@ -184,7 +184,10 @@ let of_string s =
             | Some i ->
                 let k = String.sub line 0 i in
                 let v = String.sub line (i + 1) (String.length line - i - 1) in
-                Ok ((k, String.trim v) :: acc))
+                (* An ignored key would replay a different case than the
+                   file describes (a misspelt [flips] drops the flips). *)
+                if List.mem k known_fields then Ok ((k, String.trim v) :: acc)
+                else Error (Printf.sprintf "unknown case field %S" k))
           (Ok []) fields
       in
       let field k =
@@ -219,11 +222,6 @@ let of_string s =
         | None -> Ok []
         | Some v -> flips_of_string v
       in
-      let* kronpow =
-        match List.assoc_opt "kronpow" pairs with
-        | None -> Ok false
-        | Some _ -> bool_field "kronpow"
-      in
       Ok
         {
           kind;
@@ -236,7 +234,6 @@ let of_string s =
           tau;
           seed;
           flips;
-          kronpow;
         }
 
 let equal a b = a = b

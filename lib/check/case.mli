@@ -37,12 +37,6 @@ type t = {
           the text format means) is a plain one-shot case.  Only
           meaningful for unsigned 1-bit [Trace] cases — the adjacency
           encoding {!Tcmm_graph.Stream} speaks. *)
-  kronpow : bool;
-      (** build the case's circuits with the Kronecker-power
-          linear-circuit optimization ({!Tcmm.Sum_tree}).  [false] (the
-          default, and what a missing [kronpow] line means) is the flat
-          build; a missing line keeps pre-kronpow corpus files
-          byte-identical. *)
 }
 
 val kind_name : kind -> string
@@ -81,6 +75,9 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** A missing [flips] line decodes as [flips = []], so every corpus
-    file written before the incremental leg still parses. *)
+    file written before the incremental leg still parses.  A line whose
+    key is not one of the fields above is an [Error] naming the key: a
+    misspelt optional field (or the removed [kronpow] line) must not
+    replay silently as a different case. *)
 
 val equal : t -> t -> bool

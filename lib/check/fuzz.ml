@@ -35,7 +35,6 @@ let gen =
   let* d = int_range 1 3 in
   let* entry_bits = if n >= 8 then return 1 else int_range 1 2 in
   let* signed = bool in
-  let* kronpow = frequencyl [ (3, false); (1, true) ] in
   let* seed = int_range 0 1_000_000 in
   let+ tau_choice = oneofl [ `Zero; `One; `Exact; `Above; `Below ] in
   let base =
@@ -50,7 +49,6 @@ let gen =
       tau = 0;
       seed;
       flips = [];
-      kronpow;
     }
   in
   match kind with
@@ -107,7 +105,6 @@ let gen_incremental =
       tau = 0;
       seed;
       flips;
-      kronpow = false;
     }
   in
   let trace_of g = T.Trace_circuit.reference (G.Graph.adjacency g) in
@@ -179,7 +176,6 @@ let candidates (c : Case.t) =
       (if c.signed then [ { c with signed = false } ] else []);
       (if c.entry_bits > 1 then [ { c with entry_bits = 1 } ] else []);
       shrink_algo c;
-      (if c.kronpow then [ { c with kronpow = false } ] else []);
       (if c.kind = Case.Conv then [ { c with kind = Case.Matmul } ] else []);
       (if c.kind = Case.Trace && c.tau <> 1 then [ { c with tau = 1 } ] else []);
       (if c.d > 1 then [ { c with d = 1 } ] else []);
@@ -267,7 +263,7 @@ let spec_of_case (c : Case.t) =
     entry_bits = c.entry_bits;
     signed = c.signed;
     tau = c.tau;
-    kronpow = c.kronpow;
+    kronpow = false;
   }
 
 let check_server cl (c : Case.t) =

@@ -81,7 +81,6 @@ let mutation_subjects () =
       tau;
       seed = 0;
       flips = [];
-      kronpow = false;
     }
   in
   [

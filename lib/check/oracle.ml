@@ -47,8 +47,7 @@ let trace_built (c : Case.t) =
   | None ->
       bound trace_builds;
       let b =
-        T.Trace_circuit.build ~kronpow:c.kronpow
-          ~algo:(Case.algo_of_name c.algo)
+        T.Trace_circuit.build ~algo:(Case.algo_of_name c.algo)
           ~schedule:(Case.resolve_schedule c) ~signed_inputs:c.signed
           ~entry_bits:c.entry_bits ~tau:c.tau ~n:c.n ()
       in
@@ -75,8 +74,7 @@ let matmul_built (c : Case.t) =
   | None ->
       bound matmul_builds;
       let b =
-        T.Matmul_circuit.build ~kronpow:c.kronpow
-          ~algo:(Case.algo_of_name c.algo)
+        T.Matmul_circuit.build ~algo:(Case.algo_of_name c.algo)
           ~schedule:(Case.resolve_schedule c) ~signed_inputs:c.signed
           ~entry_bits:c.entry_bits ~n:c.n ()
       in
@@ -90,7 +88,7 @@ let direct_matmul_built (c : Case.t) =
   | None ->
       bound direct_matmul_builds;
       let b =
-        T.Matmul_circuit.build ~mode:Th.Builder.Direct ~kronpow:c.kronpow
+        T.Matmul_circuit.build ~mode:Th.Builder.Direct
           ~algo:(Case.algo_of_name c.algo)
           ~schedule:(Case.resolve_schedule c) ~signed_inputs:c.signed
           ~entry_bits:c.entry_bits ~n:c.n ()
@@ -110,8 +108,6 @@ let store_round_trip ~key ~io packed =
   let meta =
     {
       Tcmm_store.Artifact.m_key = key;
-      m_templates = true;
-      m_kernels = true;
       m_build_seconds = 0.;
       m_stats = Th.Stats.zero;
       m_io = io;

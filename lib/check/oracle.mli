@@ -29,9 +29,7 @@
     A [Conv] case runs the {e conv} leg instead: the case's im2col
     workload ({!Case.conv_job}) must score identically under direct
     convolution, the integer im2col product, and the circuit-evaluated
-    embedded product.  A [kronpow] case builds all of its circuits with
-    the Kronecker-power optimization — the same agreement demands then
-    pit the rewritten linear circuits against ground truth.
+    embedded product.
 
     A case carrying [flips] batches instead runs the {e incremental}
     leg ({!check_incremental}): the batches replay through one

@@ -13,17 +13,17 @@ type built = {
 }
 
 let build ?(mode = Builder.Materialize) ?(templates = true)
-    ?(signed_inputs = false) ?share_top ?kronpow ~algo ~schedule ~entry_bits ~n
+    ?(signed_inputs = false) ?share_top ~algo ~schedule ~entry_bits ~n
     () =
   let b = Builder.create ~mode ~templates () in
   let layout_a = Encode.alloc b ~n ~entry_bits ~signed:signed_inputs in
   let layout_b = Encode.alloc b ~n ~entry_bits ~signed:signed_inputs in
   let leaves_a =
-    Sum_tree.compute_leaves ?share_top ?kronpow b ~algo
+    Sum_tree.compute_leaves ?share_top b ~algo
       ~coeffs:(Sum_tree.a_coeffs algo) ~schedule (Encode.grid layout_a)
   in
   let leaves_b =
-    Sum_tree.compute_leaves ?share_top ?kronpow b ~algo
+    Sum_tree.compute_leaves ?share_top b ~algo
       ~coeffs:(Sum_tree.b_coeffs algo) ~schedule (Encode.grid layout_b)
   in
   let products =

@@ -29,7 +29,6 @@ val build :
   ?templates:bool ->
   ?signed_inputs:bool ->
   ?share_top:bool ->
-  ?kronpow:bool ->
   algo:Tcmm_fastmm.Bilinear.t ->
   schedule:Level_schedule.t ->
   entry_bits:int ->
@@ -41,12 +40,7 @@ val build :
     the {!Builder.templated} cache instead of re-deriving their gates;
     the resulting circuit is gate-for-gate identical.  In
     [Builder.Direct] mode no [Circuit.t] is materialized — the arena
-    lowers straight to the packed form on first {!pack}/{!run}.
-    [kronpow] (default [false]) applies the {!Tcmm_fastmm.Kronpow}
-    factoring to the U/V sum trees (see
-    {!Sum_tree.compute_leaves}) — value-equal outputs, never more
-    gates+edges, but not wire-identical and up to 2 extra depth per
-    multi-level step.  The W-side {!Combine_tree} is left flat. *)
+    lowers straight to the packed form on first {!pack}/{!run}. *)
 
 val pack : built -> Packed.t
 (** The compiled evaluator form, memoized on [built]: a

@@ -1,9 +1,7 @@
 open Tcmm_arith
 module Bilinear = Tcmm_fastmm.Bilinear
 module Matrix = Tcmm_fastmm.Matrix
-module Kronpow = Tcmm_fastmm.Kronpow
 module Checked = Tcmm_util.Checked
-module Ilog = Tcmm_util.Ilog
 
 type input = Repr.signed_bits array array
 
@@ -52,109 +50,6 @@ let expansions ~coeffs ~t_dim ~delta ~size =
   go 0 0 [ (1, 0, 0) ];
   result
 
-(* --- Exact cost model for the kronpow planner ------------------------
-
-   A node's entries all share one width state (pos_len, neg_len): level 0
-   is uniform by construction (every entry comes out of the same encoder)
-   and [Weighted_sum.signed_sum]'s output widths depend only on the term
-   multiset, which is per-node constant.  That makes the cost of a whole
-   step a function of the parent's width state alone, and
-   [Weighted_sum.to_bits_cost] prices each candidate sum exactly —
-   the planner's numbers equal the built circuit's gate/edge counts. *)
-
-type widths = { pw : int; nw : int }
-
-let widths_of (sb : Repr.signed_bits) =
-  { pw = Array.length sb.Repr.pos_bits; nw = Array.length sb.Repr.neg_bits }
-
-(* Exact (gates + edges, output widths) of [signed_sum] over terms of
-   (coefficient, entry widths).  Mirrors the part routing of signed_sum:
-   a positive coefficient sends the entry's pos part to the output pos
-   side, a negative one swaps the parts and uses |c|. *)
-let sum_cost ?share_top terms =
-  let side hi lo =
-    let tbl = Hashtbl.create 16 in
-    let bound = ref 0 in
-    List.iter
-      (fun (c, st) ->
-        let len = if c > 0 then hi st else if c < 0 then lo st else 0 in
-        let a = abs c in
-        for i = 0 to len - 1 do
-          let w = Checked.mul a (Checked.pow 2 i) in
-          Hashtbl.replace tbl w
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl w));
-          bound := Checked.add !bound w
-        done)
-      terms;
-    let multiset = Hashtbl.fold (fun w m acc -> (w, m) :: acc) tbl [] in
-    let gates, edges = Weighted_sum.to_bits_cost ?share_top multiset in
-    (gates + edges, Ilog.bits !bound)
-  in
-  let cost_p, pw = side (fun s -> s.pw) (fun s -> s.nw) in
-  let cost_n, nw = side (fun s -> s.nw) (fun s -> s.pw) in
-  (cost_p + cost_n, { pw; nw })
-
-(* Pick flat vs factored for one delta-step, given the parent width
-   state.  Costs drop the common size'^2 entry factor (every candidate
-   emits the same per-entry sums over the node grid).
-
-   A split is admissible only when every child path comes out with
-   exactly the flat plan's output widths: partial sums round a stage-A
-   bound up to [2^bits - 1], so a factored child can be {e wider} than
-   its flat twin, and wider leaves make every downstream consumer
-   (later steps, products, the combine tree) more expensive in ways a
-   per-step comparison cannot see.  With equal widths the downstream
-   circuit is cost-identical, so a strict local win is a global one —
-   the "gates + edges never increases" guarantee. *)
-let plan_step ?share_top ~coeffs ~t_dim ~delta state =
-  let t2 = t_dim * t_dim in
-  let flat =
-    Array.map
-      (fun exp -> sum_cost ?share_top (List.map (fun (c, _) -> (c, state)) exp))
-      (Kronpow.path_expansions ~coeffs ~t_dim ~delta)
-  in
-  let flat_cost = Array.fold_left (fun a (c, _) -> a + c) 0 flat in
-  let splits =
-    List.filter_map
-      (fun d1 ->
-        let d2 = delta - d1 in
-        let fine = Kronpow.path_expansions ~coeffs ~t_dim ~delta:d2 in
-        let coarse = Kronpow.path_expansions ~coeffs ~t_dim ~delta:d1 in
-        let r2 = Array.length fine in
-        let used = Array.make (Checked.pow t2 d1) false in
-        Array.iter (List.iter (fun (_, j1) -> used.(j1) <- true)) coarse;
-        let used_count =
-          Array.fold_left (fun a u -> if u then a + 1 else a) 0 used
-        in
-        (* Stage A: C^{x d2} inside every used coarse block. *)
-        let stage_a =
-          Array.map
-            (fun exp ->
-              sum_cost ?share_top (List.map (fun (c, _) -> (c, state)) exp))
-            fine
-        in
-        let cost_a =
-          used_count * Array.fold_left (fun a (c, _) -> a + c) 0 stage_a
-        in
-        (* Stage B: C^{x d1} over the partials, per fine path. *)
-        let cost_b = ref 0 in
-        let widths_ok = ref true in
-        Array.iteri
-          (fun p1 exp ->
-            Array.iteri
-              (fun p2 (_, st2) ->
-                let c, w =
-                  sum_cost ?share_top (List.map (fun (c, _) -> (c, st2)) exp)
-                in
-                cost_b := !cost_b + c;
-                if w <> snd flat.((p1 * r2) + p2) then widths_ok := false)
-              stage_a)
-          coarse;
-        if !widths_ok then Some (d1, cost_a + !cost_b) else None)
-      (Kronpow.splits ~delta)
-  in
-  Kronpow.choose ~flat:flat_cost ~splits
-
 let check_coeffs ~algo ~coeffs =
   let t2 = algo.Bilinear.t_dim * algo.Bilinear.t_dim in
   if Array.length coeffs <> algo.Bilinear.rank then
@@ -165,10 +60,9 @@ let check_coeffs ~algo ~coeffs =
         invalid_arg "Sum_tree: coefficient row width must be T^2")
     coeffs
 
-let compute_leaves ?share_top ?(kronpow = false) b ~algo ~coeffs ~schedule
-    input =
+let compute_leaves ?share_top b ~algo ~coeffs ~schedule input =
   check_coeffs ~algo ~coeffs;
-  let t_dim = algo.Bilinear.t_dim and r = algo.Bilinear.rank in
+  let t_dim = algo.Bilinear.t_dim in
   let levels = (schedule : Level_schedule.t).Level_schedule.levels in
   let l_last = levels.(Array.length levels - 1) in
   let n = Array.length input in
@@ -189,13 +83,9 @@ let compute_leaves ?share_top ?(kronpow = false) b ~algo ~coeffs ~schedule
     let size = !current_size in
     let size' = size / Checked.pow t_dim delta in
     let exps = expansions ~coeffs ~t_dim ~delta ~size in
-    let children_per_node = Checked.pow r delta in
-    let parents = !current in
-    (* Children of one parent share that parent's matrix; the layout
-       parent-major keeps child ids equal to the base-r path value. *)
-    let flat_children parent =
-      Array.init children_per_node (fun path_id ->
-          let exp = exps.(path_id) in
+    let children parent =
+      Array.map
+        (fun exp ->
           Array.init (size' * size') (fun e ->
               let x = e / size' and y = e mod size' in
               let terms =
@@ -206,78 +96,11 @@ let compute_leaves ?share_top ?(kronpow = false) b ~algo ~coeffs ~schedule
                   exp
               in
               Weighted_sum.signed_sum ?share_top b terms))
+        exps
     in
-    let split_children d1 parent =
-      let d2 = delta - d1 in
-      let s1 = size / Checked.pow t_dim d1 in
-      let offsets = Kronpow.block_offsets ~t_dim ~delta:d1 ~size in
-      let fine = expansions ~coeffs ~t_dim ~delta:d2 ~size:s1 in
-      let coarse = Kronpow.path_expansions ~coeffs ~t_dim ~delta:d1 in
-      let r2 = Checked.pow r d2 in
-      let partials = Hashtbl.create 64 in
-      let partial j1 p2 =
-        match Hashtbl.find_opt partials (j1, p2) with
-        | Some z -> z
-        | None ->
-            let ro1, co1 = offsets.(j1) in
-            let z =
-              Array.init (size' * size') (fun e ->
-                  let x = e / size' and y = e mod size' in
-                  let terms =
-                    List.map
-                      (fun (c, ro, co) ->
-                        let entry =
-                          parent.(((ro1 + ro + x) * size) + (co1 + co + y))
-                        in
-                        (c, Repr.signed_of_sbits entry))
-                      fine.(p2)
-                  in
-                  Weighted_sum.signed_sum ?share_top b terms)
-            in
-            Hashtbl.add partials (j1, p2) z;
-            z
-      in
-      Array.init children_per_node (fun p ->
-          let p1 = p / r2 and p2 = p mod r2 in
-          let coarse_terms = coarse.(p1) in
-          Array.init (size' * size') (fun e ->
-              let terms =
-                List.map
-                  (fun (c, j1) -> (c, Repr.signed_of_sbits (partial j1 p2).(e)))
-                  coarse_terms
-              in
-              Weighted_sum.signed_sum ?share_top b terms))
-    in
-    let next = Array.make (Array.length parents * children_per_node) [||] in
-    if not (kronpow && delta >= 2) then
-      Array.iteri
-        (fun pi parent ->
-          Array.blit (flat_children parent) 0 next (pi * children_per_node)
-            children_per_node)
-        parents
-    else begin
-      (* Plans depend only on a parent's width state — memoize. *)
-      let memo = Hashtbl.create 8 in
-      Array.iteri
-        (fun pi parent ->
-          let state = widths_of parent.(0) in
-          let plan =
-            match Hashtbl.find_opt memo state with
-            | Some p -> p
-            | None ->
-                let p = plan_step ?share_top ~coeffs ~t_dim ~delta state in
-                Hashtbl.add memo state p;
-                p
-          in
-          let kids =
-            match plan with
-            | Kronpow.Flat -> flat_children parent
-            | Kronpow.Split { d1 } -> split_children d1 parent
-          in
-          Array.blit kids 0 next (pi * children_per_node) children_per_node)
-        parents
-    end;
-    current := next;
+    (* Children of one parent share that parent's matrix; the layout
+       parent-major keeps child ids equal to the base-r path value. *)
+    current := Array.concat (Array.to_list (Array.map children !current));
     current_size := size'
   done;
   if !current_size <> 1 then

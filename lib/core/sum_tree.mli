@@ -38,7 +38,6 @@ val leaf_count : Tcmm_fastmm.Bilinear.t -> l:int -> int
 
 val compute_leaves :
   ?share_top:bool ->
-  ?kronpow:bool ->
   Builder.t ->
   algo:Tcmm_fastmm.Bilinear.t ->
   coeffs:int array array ->
@@ -51,14 +50,9 @@ val compute_leaves :
     Requires [input] to be square of size [T^L] where [L] is the
     schedule's last level; raises [Invalid_argument] otherwise.
 
-    [kronpow] (default [false]) enables the {!Tcmm_fastmm.Kronpow}
-    rewrite: every multi-level step ([delta >= 2]) is priced exactly
-    (flat vs every [d1 + d2] factoring) with
-    {!Tcmm_arith.Weighted_sum.to_bits_cost} and emitted in the cheapest
-    shape, so [gates + edges] never increases.  Outputs are value-equal
-    to the flat circuit but not wire-identical, and a factored step adds
-    2 to the circuit's depth — which is why it is opt-in and excluded
-    from the depth/DP certification paths. *)
+    Every step is emitted flat: each child entry is one weighted sum
+    over its parent's blocks, so the circuit is exactly the one the
+    certifier and the {!Gate_count}/{!Gate_count_matmul} DPs describe. *)
 
 val compute_leaves_staged :
   Builder.t ->

@@ -13,21 +13,21 @@ type built = {
   tau : int;
 }
 
-let build_internal ~mode ~templates ~signed_inputs ?share_top ?kronpow
-    ~with_value ~algo ~schedule ~entry_bits ~tau ~n () =
+let build_internal ~mode ~templates ~signed_inputs ?share_top ~with_value ~algo
+    ~schedule ~entry_bits ~tau ~n () =
   let b = Builder.create ~mode ~templates () in
   let layout = Encode.alloc b ~n ~entry_bits ~signed:signed_inputs in
   let grid = Encode.grid layout in
   let leaves_a =
-    Sum_tree.compute_leaves ?share_top ?kronpow b ~algo
+    Sum_tree.compute_leaves ?share_top b ~algo
       ~coeffs:(Sum_tree.a_coeffs algo) ~schedule grid
   in
   let leaves_b =
-    Sum_tree.compute_leaves ?share_top ?kronpow b ~algo
+    Sum_tree.compute_leaves ?share_top b ~algo
       ~coeffs:(Sum_tree.b_coeffs algo) ~schedule grid
   in
   let leaves_w =
-    Sum_tree.compute_leaves ?share_top ?kronpow b ~algo
+    Sum_tree.compute_leaves ?share_top b ~algo
       ~coeffs:(Sum_tree.w_transposed_coeffs algo) ~schedule
       (Encode.transposed_grid layout)
   in
@@ -57,18 +57,18 @@ let build_internal ~mode ~templates ~signed_inputs ?share_top ?kronpow
     value )
 
 let build ?(mode = Builder.Materialize) ?(templates = true)
-    ?(signed_inputs = false) ?share_top ?kronpow ~algo ~schedule ~entry_bits
-    ~tau ~n () =
+    ?(signed_inputs = false) ?share_top ~algo ~schedule ~entry_bits ~tau ~n
+    () =
   fst
-    (build_internal ~mode ~templates ~signed_inputs ?share_top ?kronpow
-       ~with_value:false ~algo ~schedule ~entry_bits ~tau ~n ())
+    (build_internal ~mode ~templates ~signed_inputs ?share_top ~with_value:false
+       ~algo ~schedule ~entry_bits ~tau ~n ())
 
 let build_with_value ?(mode = Builder.Materialize) ?(templates = true)
-    ?(signed_inputs = false) ?share_top ?kronpow ~algo ~schedule ~entry_bits
-    ~tau ~n () =
+    ?(signed_inputs = false) ?share_top ~algo ~schedule ~entry_bits ~tau ~n
+    () =
   match
-    build_internal ~mode ~templates ~signed_inputs ?share_top ?kronpow
-      ~with_value:true ~algo ~schedule ~entry_bits ~tau ~n ()
+    build_internal ~mode ~templates ~signed_inputs ?share_top ~with_value:true
+      ~algo ~schedule ~entry_bits ~tau ~n ()
   with
   | built, Some norm -> (built, norm)
   | _, None -> assert false

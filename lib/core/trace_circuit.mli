@@ -35,7 +35,6 @@ val build :
   ?templates:bool ->
   ?signed_inputs:bool ->
   ?share_top:bool ->
-  ?kronpow:bool ->
   algo:Tcmm_fastmm.Bilinear.t ->
   schedule:Level_schedule.t ->
   entry_bits:int ->
@@ -44,11 +43,7 @@ val build :
   unit ->
   built
 (** [signed_inputs] defaults to [false] (adjacency-style nonnegative
-    entries).  [kronpow] (default [false]) applies the
-    {!Tcmm_fastmm.Kronpow} factoring to all three sum trees (U, V and
-    the transposed-W side) — value-equal, never larger, not
-    wire-identical; see {!Sum_tree.compute_leaves}.
-    [share_top] (default [false]) enables the Lemma 3.2
+    entries).  [share_top] (default [false]) enables the Lemma 3.2
     shared-first-layer optimization in every addition (same function,
     fewer gates — the E11 ablation quantifies it).  [templates] (default
     [true]) stamps repeated block shapes through the
@@ -99,7 +94,6 @@ val build_with_value :
   ?templates:bool ->
   ?signed_inputs:bool ->
   ?share_top:bool ->
-  ?kronpow:bool ->
   algo:Tcmm_fastmm.Bilinear.t ->
   schedule:Level_schedule.t ->
   entry_bits:int ->

@@ -35,18 +35,14 @@ let create ?store ~capacity () : t =
 let store t = t.store
 
 (* [Conv] keys as "matmul": a served convolution runs through exactly
-   the n x n matmul circuit, so both kinds share one cache entry.  The
-   kronpow flag is appended only when set, so flat builds keep the keys
-   (and the artifact store's on-disk names) they had before the flag
-   existed. *)
+   the n x n matmul circuit, so both kinds share one cache entry. *)
 let key (s : Protocol.spec) =
-  Printf.sprintf "%s|%s|%s|d=%d|n=%d|b=%d|signed=%b|tau=%d%s"
+  Printf.sprintf "%s|%s|%s|d=%d|n=%d|b=%d|signed=%b|tau=%d"
     (match s.kind with
     | Protocol.Matmul | Protocol.Conv -> "matmul"
     | Protocol.Trace -> "trace"
     | Protocol.Triangles -> "triangles")
     s.algo s.schedule s.d s.n s.entry_bits s.signed s.tau
-    (if s.kronpow then "|kronpow" else "")
 
 let algo_by_name name =
   match
@@ -62,8 +58,14 @@ let algo_by_name name =
               (List.map (fun a -> a.F.Bilinear.name) (F.Instances.all ()))))
 
 (* Bounds that keep a hostile spec from requesting a terabyte build;
-   the real limit is the builder's own memory use. *)
+   the real limit is the builder's own memory use.  [kronpow] selects
+   no pass and is not part of the key, so a set flag is refused here
+   rather than answered from its flat twin's entry. *)
 let validate (s : Protocol.spec) =
+  if s.kronpow then
+    invalid_arg
+      "kronpow = true: the Kronecker-power pass was removed; every circuit \
+       is built flat";
   if s.n < 2 || s.n > 4096 then
     invalid_arg (Printf.sprintf "n = %d out of range [2, 4096]" s.n);
   if s.entry_bits < 1 || s.entry_bits > 32 then
@@ -75,7 +77,6 @@ let validate (s : Protocol.spec) =
    straight to the packed CSR form ({!Tcmm_threshold.Packed.of_arena}),
    with kernel dispatch, without ever materializing a [Circuit.t]. *)
 let build (s : Protocol.spec) =
-  validate s;
   let algo = algo_by_name s.algo in
   let schedule = T.Level_schedule.resolve ~algo ~name:s.schedule ~d:s.d ~n:s.n in
   let mode = Th.Builder.Direct in
@@ -84,7 +85,7 @@ let build (s : Protocol.spec) =
     match s.kind with
     | Protocol.Matmul | Protocol.Conv ->
         Matmul
-          (T.Matmul_circuit.build ~mode ~kronpow:s.kronpow ~algo ~schedule
+          (T.Matmul_circuit.build ~mode ~algo ~schedule
              ~signed_inputs:s.signed ~entry_bits:s.entry_bits ~n:s.n ())
     | Protocol.Trace | Protocol.Triangles ->
         let tau =
@@ -93,7 +94,7 @@ let build (s : Protocol.spec) =
           | _ -> s.tau
         in
         Trace
-          (T.Trace_circuit.build ~mode ~kronpow:s.kronpow ~algo ~schedule
+          (T.Trace_circuit.build ~mode ~algo ~schedule
              ~signed_inputs:s.signed ~entry_bits:s.entry_bits ~tau ~n:s.n ())
   in
   let t1 = Clock.now () in
@@ -155,7 +156,7 @@ let entry_of_artifact spec ~load_seconds (a : Tcmm_store.Artifact.t) =
     lower_seconds = load_seconds;
   }
 
-let find_or_build t spec =
+let lookup_or_build t spec =
   let k = key spec in
   match Tcmm_util.Lru.find t.lru k with
   | Some entry -> Ok (entry, Cached)
@@ -189,8 +190,6 @@ let find_or_build t spec =
                   let meta =
                     {
                       Tcmm_store.Artifact.m_key = k;
-                      m_templates = true;
-                      m_kernels = true;
                       m_build_seconds = entry.build_seconds;
                       m_stats = entry.stats;
                       m_io = io_of_entry entry;
@@ -206,5 +205,12 @@ let find_or_build t spec =
              bug) fails this request, not the daemon. *)
           | exception e ->
               Error (Printf.sprintf "build failed: %s" (Printexc.to_string e))))
+
+(* Validate before either lookup: a spec the cache would refuse to
+   build must not be answered from an entry that merely shares its key. *)
+let find_or_build t spec =
+  match validate spec with
+  | exception Invalid_argument msg -> Error msg
+  | () -> lookup_or_build t spec
 
 let stats t = Tcmm_util.Lru.stats t.lru

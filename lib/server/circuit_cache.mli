@@ -70,8 +70,11 @@ val find_or_build :
 (** The entry for a spec: an LRU hit, an artifact-store load, or a
     fresh build (persisted write-behind when a store is attached), in
     that order of preference.  [Error] on an invalid spec (unknown
-    algorithm or schedule, bad dimensions, out-of-range parameters) —
+    algorithm or schedule, bad dimensions, out-of-range parameters, or
+    [kronpow = true], which names the removed Kronecker-power pass) —
     building never raises, and a corrupt artifact is quarantined and
-    rebuilt, never surfaced. *)
+    rebuilt, never surfaced.  Out-of-range and [kronpow] specs are
+    refused before either lookup, so they are never answered from a
+    resident or stored entry under the same {!key}. *)
 
 val stats : t -> Tcmm_util.Lru.stats

@@ -15,8 +15,7 @@ type spec = {
   entry_bits : int;
   signed : bool;
   tau : int;
-  kronpow : bool;
-      (** apply the Kronecker-power linear-circuit rewrite when building *)
+  kronpow : bool;  (** must be false; refused by [Circuit_cache] *)
 }
 
 (* One im2col inference job: [cj_q]/[cj_stride] pick the

@@ -49,9 +49,10 @@ type spec = {
   signed : bool;
   tau : int;  (** threshold for [Trace] / [Triangles]; ignored for [Matmul] *)
   kronpow : bool;
-      (** build with the Kronecker-power linear-circuit optimization.
-          Value-identical circuits, different wire structure — part of
-          the cache key. *)
+      (** must be [false]; refused.  A wire field only: it selected a
+          Kronecker-power pass that has been removed, and
+          {!Circuit_cache.find_or_build} answers [true] with an error.
+          Kept so frames stay byte-identical at this version. *)
 }
 
 type conv_job = {

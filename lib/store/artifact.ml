@@ -7,8 +7,9 @@ module Repr = Tcmm_arith.Repr
 
 (* v3: wire ids are int32 sections, edges carry no weight of their own,
    and the kernel section is a table of distinct specs plus a
-   per-segment index. *)
-let format_version = 3
+   per-segment index.  v4: the header drops the caller-supplied builder
+   flags (the kernel table's size is the checkable fact). *)
+let format_version = 4
 let magic = "TCMMART1"
 let page = 4096
 let page_words = page / 8
@@ -33,8 +34,6 @@ type header = {
   h_format : int;
   h_kernel_rev : int;
   h_key : string;
-  h_templates : bool;
-  h_kernels : bool;
   h_created : float;
   h_build_seconds : float;
   h_num_inputs : int;
@@ -60,8 +59,6 @@ type t = {
 
 type meta = {
   m_key : string;
-  m_templates : bool;
-  m_kernels : bool;
   m_build_seconds : float;
   m_stats : Stats.t;
   m_io : io;
@@ -140,14 +137,12 @@ let header_codec : header Codec.t =
   Codec.view
     ~inject:(fun h ->
       ( ( (h.h_format, h.h_kernel_rev, h.h_key),
-          (h.h_templates, h.h_kernels),
           (h.h_created, h.h_build_seconds) ),
         ( (h.h_num_inputs, h.h_num_gates, h.h_levels),
           ((h.h_segments, h.h_groups, h.h_edges), h.h_kern_specs) ),
         (h.h_stats, h.h_io, h.h_sections) ))
     ~extract:(fun
         ( ( (h_format, h_kernel_rev, h_key),
-            (h_templates, h_kernels),
             (h_created, h_build_seconds) ),
           ( (h_num_inputs, h_num_gates, h_levels),
             ((h_segments, h_groups, h_edges), h_kern_specs) ),
@@ -157,8 +152,6 @@ let header_codec : header Codec.t =
         h_format;
         h_kernel_rev;
         h_key;
-        h_templates;
-        h_kernels;
         h_created;
         h_build_seconds;
         h_num_inputs;
@@ -174,7 +167,7 @@ let header_codec : header Codec.t =
       })
     Codec.(
       triple
-        (triple (triple int int string) (pair bool bool) (pair float float))
+        (pair (triple int int string) (pair float float))
         (pair (triple int int int) (pair (triple int int int) int))
         (triple stats_codec io_codec (list section_codec)))
 
@@ -260,8 +253,6 @@ let write ~path meta packed =
         h_format = format_version;
         h_kernel_rev = Kernel.format_rev;
         h_key = meta.m_key;
-        h_templates = meta.m_templates;
-        h_kernels = meta.m_kernels;
         h_created = Unix.time ();
         h_build_seconds = meta.m_build_seconds;
         h_num_inputs = secs.Packed.sec_num_inputs;
@@ -461,7 +452,6 @@ let pp_header ppf h =
   fprintf ppf "@[<v>format:        v%d (kernel rev %d%s)@," h.h_format h.h_kernel_rev
     (if h.h_kernel_rev = Kernel.format_rev then "" else ", stale: loads recompile kernels");
   fprintf ppf "key:           %s@," h.h_key;
-  fprintf ppf "flags:         templates=%b kernels=%b@," h.h_templates h.h_kernels;
   let tm = Unix.gmtime h.h_created in
   fprintf ppf "created:       %04d-%02d-%02dT%02d:%02d:%02dZ (build took %.3fs)@,"
     (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour

@@ -1,7 +1,7 @@
 (** One compiled-circuit artifact file: self-describing header + the
     packed CSR sections as page-aligned flat arrays.
 
-    {b Layout} (format v3).  A file is [magic "TCMMART1"], a u64 header
+    {b Layout} (format v4).  A file is [magic "TCMMART1"], a u64 header
     length, the {!Codec}-encoded {!header}, a CRC-64 of those header
     bytes, zero padding to a 4 KiB boundary, then each section's
     elements at a page-aligned offset recorded in the header's section
@@ -10,17 +10,18 @@
     Edges carry no weight of their own (an edge's weight is its
     group's), and the kernel dispatch is a table of the distinct encoded
     specs ([kern_table]) plus a per-segment index into it
-    ([kern_index]).  The header carries
-    everything needed to interpret the payload — format/kernel
-    revisions, the spec key, builder flags, structural counts, circuit
-    stats, the I/O descriptor, and per-section [(offset, length, element
-    width, CRC-64)] — so a load is: read + checksum + decode the header,
+    ([kern_index]).  The header carries everything needed to interpret
+    the payload — format/kernel revisions, the spec key, structural
+    counts (among them the kernel table's size), circuit stats, the I/O
+    descriptor, and per-section [(offset, length, element width,
+    CRC-64)] — so a load is: read + checksum + decode the header,
     one [Unix.map_file] per section (int32 sections as int32
     Bigarrays), checksum each section through its mapping, and adopt
     the big vectors by aliasing ({!Tcmm_threshold.Packed.load}
     re-validates structure and decodes each distinct kernel spec once).
     No per-gate deserialization happens anywhere.  There is no reader
-    for older formats: they are refused as stale.
+    for older formats: they are refused as stale (v4 dropped v3's
+    caller-supplied [templates]/[kernels] header flags).
 
     {b Checksums.}  The header CRC is over its exact bytes.  Section
     CRCs are over every content byte: the four little-endian bytes of
@@ -61,8 +62,6 @@ type header = {
   h_format : int;
   h_kernel_rev : int;  (** {!Tcmm_threshold.Kernel.format_rev} at write time *)
   h_key : string;  (** spec key the artifact was compiled for *)
-  h_templates : bool;  (** builder flags used for the compile *)
-  h_kernels : bool;
   h_created : float;  (** unix time of the write *)
   h_build_seconds : float;  (** what the original build cost *)
   h_num_inputs : int;
@@ -92,8 +91,6 @@ val format_version : int
 
 type meta = {
   m_key : string;
-  m_templates : bool;
-  m_kernels : bool;
   m_build_seconds : float;
   m_stats : Tcmm_threshold.Stats.t;
   m_io : io;

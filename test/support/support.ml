@@ -34,3 +34,22 @@ let qcheck_case ?(count = 200) name gen prop =
   QCheck2.Test.make ~count ~name gen prop |> fun t ->
   let t = QCheck_alcotest.to_alcotest t in
   t
+
+(* A fresh directory under the system temp dir, removed with everything
+   below it once [f] returns or raises. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "tcmm_test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let rec remove d =
+    if Sys.file_exists d then begin
+      Array.iter
+        (fun f ->
+          let p = Filename.concat d f in
+          if Sys.is_directory p then remove p
+          else try Sys.remove p with Sys_error _ -> ())
+        (Sys.readdir d);
+      try Sys.rmdir d with Sys_error _ -> ()
+    end
+  in
+  Fun.protect ~finally:(fun () -> remove dir) @@ fun () -> f dir

@@ -31,7 +31,6 @@ let sample_case =
     tau = -3;
     seed = 42;
     flips = [];
-    kronpow = false;
   }
 
 let test_case_roundtrip () =
@@ -51,28 +50,35 @@ let test_case_roundtrip () =
         flips = [ [ (0, 1); (0, 1) ]; [ (2, 3) ] ];
       };
       { sample_case with Ck.Case.kind = Ck.Case.Conv; tau = 0 };
-      { sample_case with Ck.Case.kronpow = true };
-      {
-        sample_case with
-        Ck.Case.kind = Ck.Case.Conv;
-        algo = "laderman";
-        n = 9;
-        tau = 0;
-        kronpow = true;
-      };
     ]
 
 let test_case_format_back_compat () =
-  (* A flat case must serialize without any kronpow line at all, so
-     every corpus file written before the kronpow field stays
-     byte-identical; the flag only ever appears as "kronpow true". *)
-  let lines c = String.split_on_char '\n' (Ck.Case.to_string c) in
-  S.check_bool "flat case has no kronpow line" false
-    (List.exists
-       (fun l -> String.length l >= 7 && String.sub l 0 7 = "kronpow")
-       (lines sample_case));
-  S.check_bool "kronpow case carries the line" true
-    (List.mem "kronpow true" (lines { sample_case with Ck.Case.kronpow = true }))
+  (* Every committed corpus file parses, and below its comment header it
+     is exactly [to_string] of what it parses to: the format still reads
+     every file it ever wrote, and no file carries a line that the
+     parser would not write back. *)
+  let files =
+    Sys.readdir corpus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".case")
+  in
+  S.check_bool "corpus is seeded" true (List.length files >= 6);
+  List.iter
+    (fun f ->
+      let text =
+        In_channel.with_open_bin (Filename.concat corpus_dir f)
+          In_channel.input_all
+      in
+      match Ck.Case.of_string text with
+      | Error e -> Alcotest.fail (f ^ ": " ^ e)
+      | Ok c ->
+          let body =
+            String.split_on_char '\n' text
+            |> List.filter (fun l -> not (String.starts_with ~prefix:"#" l))
+            |> String.concat "\n"
+          in
+          Alcotest.(check string) (f ^ ": body = to_string") (Ck.Case.to_string c)
+            body)
+    files
 
 let prop_case_roundtrip =
   S.qcheck_case ~count:100 "generated cases round-trip" Ck.Fuzz.gen (fun c ->
@@ -96,6 +102,9 @@ let test_case_rejects_garbage () =
       "tcmm-case 1\nkind trace\nalgo strassen";
       (* missing fields *)
       "tcmm-case 1\nkind trace\nd two";
+      (* unknown keys: the removed kronpow line, a misspelt flips *)
+      Ck.Case.to_string sample_case ^ "kronpow true\n";
+      Ck.Case.to_string sample_case ^ "flip 0-1\n";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -353,7 +362,7 @@ let test_incremental_adversarial_cases () =
 
 (* The conv oracle leg: direct convolution vs the im2col product vs the
    circuit-evaluated product, across algorithms (including base-3
-   Laderman at n = 9) and both linear-layer builds. *)
+   Laderman at n = 9). *)
 let test_conv_oracle () =
   List.iter
     (fun c ->
@@ -372,51 +381,8 @@ let test_conv_oracle () =
         signed = false;
         tau = 0;
       };
-      {
-        sample_case with
-        Ck.Case.kind = Ck.Case.Conv;
-        tau = 0;
-        kronpow = true;
-      };
     ];
   Ck.Oracle.clear_cache ()
-
-(* Kronpow cases must be value-identical to their flat twins on every
-   oracle leg — the factoring may only change wire structure. *)
-let test_kronpow_oracle () =
-  List.iter
-    (fun c ->
-      match Ck.Oracle.check c with
-      | Ok () -> ()
-      | Error e ->
-          Alcotest.fail (Format.asprintf "%a: %s" Ck.Case.pp c e))
-    [
-      { sample_case with Ck.Case.kronpow = true };
-      { sample_case with Ck.Case.kind = Ck.Case.Matmul; tau = 0; kronpow = true };
-      {
-        sample_case with
-        Ck.Case.algo = "laderman";
-        n = 3;
-        entry_bits = 1;
-        signed = false;
-        tau = 1;
-        kronpow = true;
-      };
-    ];
-  Ck.Oracle.clear_cache ()
-
-let prop_kronpow_pinned_fuzz =
-  (* Every generated case, forced through the kronpow build, must still
-     pass the differential oracle (the width-equality admissibility gate
-     makes the factoring safe at any size). *)
-  S.qcheck_case ~count:12 "kronpow-pinned cases pass the oracle" Ck.Fuzz.gen
-    (fun c ->
-      let c = { c with Ck.Case.kronpow = true } in
-      match Ck.Oracle.check c with
-      | Ok () -> true
-      | Error e ->
-          Format.eprintf "%a: %s@." Ck.Case.pp c e;
-          false)
 
 let test_server_fuzz_smoke () =
   let o, oi =
@@ -494,8 +460,6 @@ let () =
           Alcotest.test_case "incremental adversarial corners" `Slow
             test_incremental_adversarial_cases;
           Alcotest.test_case "conv oracle legs" `Slow test_conv_oracle;
-          Alcotest.test_case "kronpow oracle legs" `Slow test_kronpow_oracle;
-          prop_kronpow_pinned_fuzz;
           Alcotest.test_case "shrink requires failure" `Quick test_shrink_requires_failure;
         ] );
       ( "fork",

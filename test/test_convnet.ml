@@ -384,44 +384,51 @@ let test_inference_rejections () =
 module P = Tcmm_server.Protocol
 
 (* Every served score plane must be bit-identical to the direct
-   convolution — across algorithms (base-2 Strassen, base-3 Laderman)
-   and both linear-layer builds.  Pipelined like a real client so the
-   jobs coalesce into one matmul batch server-side. *)
+   convolution — across algorithms (base-2 Strassen, base-3 Laderman).
+   Pipelined like a real client so the jobs coalesce into one matmul
+   batch server-side.  The refusal leg puts a [kronpow = true] copy
+   (the removed pass) ahead of the flat one on the same connection:
+   the first must come back as an error, and the flat one behind it
+   must still be answered exactly. *)
 let test_served_conv_bit_identical () =
   Tcmm_check.Harness.with_loopback_server (fun cl ->
       List.iter
-        (fun (label, algo, n, kronpow, seed, size, kernels) ->
+        (fun (label, algo, n, refusal, seed, size, kernels) ->
           let spec_c, img, ks =
             random_setup seed ~channels:1 ~size ~q:2 ~stride:1 ~kernels
           in
           let spec =
             { P.kind = P.Conv; algo; schedule = "thm45"; d = 2; n;
-              entry_bits = 2; signed = true; tau = 0; kronpow }
+              entry_bits = 2; signed = true; tau = 0; kronpow = false }
           in
           let job =
             { P.cj_q = 2; cj_stride = 1; cj_image = img; cj_kernels = ks }
           in
           (* Two pipelined copies: the reply must be deterministic and
              the batcher must keep per-request framing straight. *)
-          Tcmm_server.Client.send cl (P.Run_conv (spec, job));
+          let first = if refusal then { spec with P.kronpow = true } else spec in
+          Tcmm_server.Client.send cl (P.Run_conv (first, job));
           Tcmm_server.Client.send cl (P.Run_conv (spec, job));
           let expect = Conv.direct spec_c img ks in
           for i = 1 to 2 do
-            match Tcmm_server.Client.recv cl with
-            | Ok (P.Conv_result (scores, firings)) ->
+            match (Tcmm_server.Client.recv cl, refusal && i = 1) with
+            | Ok (P.Error _), true -> ()
+            | Ok _, true -> Alcotest.fail (label ^ ": kronpow job was served")
+            | Ok (P.Conv_result (scores, firings)), false ->
                 S.check_bool
                   (Printf.sprintf "%s reply %d bit-identical" label i)
                   true (scores = expect);
                 S.check_bool
                   (Printf.sprintf "%s reply %d counted firings" label i)
                   true (firings > 0)
-            | Ok (P.Error msg) -> Alcotest.fail (label ^ ": server error: " ^ msg)
-            | Ok _ -> Alcotest.fail (label ^ ": unexpected response")
-            | Error msg -> Alcotest.fail (label ^ ": transport: " ^ msg)
+            | Ok (P.Error msg), false ->
+                Alcotest.fail (label ^ ": server error: " ^ msg)
+            | Ok _, false -> Alcotest.fail (label ^ ": unexpected response")
+            | Error msg, _ -> Alcotest.fail (label ^ ": transport: " ^ msg)
           done)
         [
           ("strassen", "strassen", 16, false, 81, 4, 2);
-          ("strassen-kronpow", "strassen", 16, true, 82, 4, 2);
+          ("strassen-refusal", "strassen", 16, true, 82, 4, 2);
           ("laderman", "laderman", 9, false, 83, 4, 2);
         ])
 

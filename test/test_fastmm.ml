@@ -266,63 +266,6 @@ let test_strassen_squared_is_generic_kronecker () =
   Alcotest.(check (array (array int))) "same w" via_tensor.Bilinear.w sq.Bilinear.w
 
 (* ------------------------------------------------------------------ *)
-(* Kronpow                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Every split of a delta-step computes the same child matrices as the
-   flat expansion — the factoring algebra itself, with no circuits. *)
-let prop_kronpow_apply_plan_equivalence =
-  S.qcheck_case ~count:40 "kronpow: all plans compute the same children"
-    QCheck2.Gen.(int_range 0 100000)
-    (fun seed ->
-      let rng = Prng.create ~seed in
-      let pick l = List.nth l (Prng.int rng ~bound:(List.length l)) in
-      let algo =
-        pick [ Instances.strassen; Instances.winograd; Instances.naive ~t_dim:2 ]
-      in
-      let t_dim = algo.Bilinear.t_dim in
-      (* w is T^2 x r; the sum tree consumes its transpose. *)
-      let w_t =
-        Array.init algo.Bilinear.rank (fun i ->
-            Array.init (t_dim * t_dim) (fun j -> algo.Bilinear.w.(j).(i)))
-      in
-      let coeffs = pick [ algo.Bilinear.u; algo.Bilinear.v; w_t ] in
-      let delta = 2 in
-      let size = t_dim * t_dim * pick [ 1; 2 ] in
-      let m = Matrix.random rng ~rows:size ~cols:size ~lo:(-9) ~hi:9 in
-      let flat = Kronpow.apply ~coeffs ~t_dim ~delta ~plan:Kronpow.Flat m in
-      List.for_all
-        (fun d1 ->
-          let split =
-            Kronpow.apply ~coeffs ~t_dim ~delta ~plan:(Kronpow.Split { d1 }) m
-          in
-          Array.length split = Array.length flat
-          && Array.for_all2 (fun a b -> Matrix.equal a b) flat split)
-        (Kronpow.splits ~delta))
-
-let prop_kronpow_apply_laderman_delta2 =
-  S.qcheck_case ~count:10 "kronpow: laderman delta-2 split equivalence"
-    QCheck2.Gen.(int_range 0 100000)
-    (fun seed ->
-      let rng = Prng.create ~seed in
-      let algo = Instances.laderman in
-      let coeffs = algo.Bilinear.u in
-      let m = Matrix.random rng ~rows:9 ~cols:9 ~lo:(-4) ~hi:4 in
-      let flat = Kronpow.apply ~coeffs ~t_dim:3 ~delta:2 ~plan:Kronpow.Flat m in
-      let split =
-        Kronpow.apply ~coeffs ~t_dim:3 ~delta:2 ~plan:(Kronpow.Split { d1 = 1 }) m
-      in
-      Array.for_all2 (fun a b -> Matrix.equal a b) flat split)
-
-let test_kronpow_choose_prefers_flat_on_tie () =
-  S.check_bool "empty splits" true (Kronpow.choose ~flat:10 ~splits:[] = Kronpow.Flat);
-  S.check_bool "tie" true
-    (Kronpow.choose ~flat:10 ~splits:[ (1, 10) ] = Kronpow.Flat);
-  S.check_bool "strict win" true
-    (Kronpow.choose ~flat:10 ~splits:[ (1, 11); (2, 9) ] = Kronpow.Split { d1 = 2 });
-  S.check_int "splits of 3" 2 (List.length (Kronpow.splits ~delta:3))
-
-(* ------------------------------------------------------------------ *)
 (* Sparsity                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -513,13 +456,6 @@ let () =
           Alcotest.test_case "laderman shape" `Quick test_laderman_shape;
           Alcotest.test_case "strassen^2 = generic kronecker" `Quick
             test_strassen_squared_is_generic_kronecker;
-        ] );
-      ( "kronpow",
-        [
-          prop_kronpow_apply_plan_equivalence;
-          prop_kronpow_apply_laderman_delta2;
-          Alcotest.test_case "choose/splits" `Quick
-            test_kronpow_choose_prefers_flat_on_tie;
         ] );
       ( "properties",
         [

@@ -644,6 +644,50 @@ let test_circuit_cache_rejects () =
   S.check_bool "bad n" true (bad (fun s -> { s with P.n = 0 }));
   S.check_bool "bad bits" true (bad (fun s -> { s with P.entry_bits = 0 }))
 
+(* [kronpow] selects no pass and is not part of the key, so a set flag
+   would map onto its flat twin's entry.  It must be refused before
+   either tier is consulted: with the twin resident in the LRU, and
+   from a fresh cache over a store that holds the twin. *)
+let kronpow_spec = { small_spec with P.kronpow = true }
+
+let expect_outcome what want = function
+  | Ok (_, got) when got = want -> ()
+  | Ok _ -> Alcotest.failf "%s: unexpected cache outcome" what
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let check_kronpow_refused what = function
+  | Ok _ -> Alcotest.failf "%s: kronpow spec was served" what
+  | Error msg ->
+      S.check_bool (what ^ ": error names the pass") true
+        (String.starts_with ~prefix:"kronpow" msg)
+
+let test_circuit_cache_kronpow_resident () =
+  let module Cc = Tcmm_server.Circuit_cache in
+  let cc = Cc.create ~capacity:2 () in
+  expect_outcome "flat twin" Cc.Built (Cc.find_or_build cc small_spec);
+  check_kronpow_refused "resident twin" (Cc.find_or_build cc kronpow_spec);
+  let st = Cc.stats cc in
+  S.check_int "refusal is not a hit" 0 st.Tcmm_util.Lru.hits;
+  S.check_int "refusal is not a miss" 1 st.Tcmm_util.Lru.misses
+
+let test_circuit_cache_kronpow_stored () =
+  let module Cc = Tcmm_server.Circuit_cache in
+  let module St = Tcmm_store.Store in
+  S.with_temp_dir @@ fun dir ->
+  let fresh_cache () =
+    match St.create ~dir () with
+    | Ok store -> (store, Cc.create ~store ~capacity:2 ())
+    | Error e -> Alcotest.fail e
+  in
+  let _, writer = fresh_cache () in
+  expect_outcome "flat twin" Cc.Built (Cc.find_or_build writer small_spec);
+  let store, cc = fresh_cache () in
+  check_kronpow_refused "stored twin" (Cc.find_or_build cc kronpow_spec);
+  S.check_int "refusal loads nothing" 0 (St.counters store).St.loads;
+  (* The twin really is on disk: the flat spec loads it. *)
+  expect_outcome "flat twin" Cc.Loaded (Cc.find_or_build cc small_spec);
+  S.check_int "flat spec loads the twin" 1 (St.counters store).St.loads
+
 (* The widest entries a matmul spec admits: signed 28-bit entries at
    n=2 put segment sums at up to 61 bits, inside the packed form's
    proven weight-mass bound.  Products at the extremes must match the
@@ -976,6 +1020,10 @@ let () =
         [
           Alcotest.test_case "hits" `Quick test_circuit_cache_hits;
           Alcotest.test_case "rejects" `Quick test_circuit_cache_rejects;
+          Alcotest.test_case "kronpow refused over a resident twin" `Quick
+            test_circuit_cache_kronpow_resident;
+          Alcotest.test_case "kronpow refused over a stored twin" `Quick
+            test_circuit_cache_kronpow_stored;
           Alcotest.test_case "widest entries exact" `Quick
             test_circuit_cache_widest_entries;
           Alcotest.test_case "interleaved eviction" `Quick

@@ -18,27 +18,6 @@ let strassen = F.Instances.strassen
 (* Filesystem helpers                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let temp_dir () =
-  let path = Filename.temp_file "tcmm_test_store" "" in
-  Sys.remove path;
-  Unix.mkdir path 0o700;
-  path
-
-let rec remove_dir dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f ->
-        let p = Filename.concat dir f in
-        if Sys.is_directory p then remove_dir p
-        else try Sys.remove p with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  end
-
-let with_temp_dir f =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () -> f dir
-
 let with_temp_path f =
   let path = Filename.temp_file "tcmm_test_store" ".tcmm" in
   Fun.protect
@@ -104,7 +83,7 @@ let start_server cfg =
       (pid, addr)
 
 let test_concurrent_writers () =
-  with_temp_dir @@ fun dir ->
+  S.with_temp_dir @@ fun dir ->
   let servers =
     Array.init race_workers (fun _ -> start_server (store_config dir))
   in
@@ -193,7 +172,7 @@ let test_concurrent_writers () =
    whose first request for the spec is that load counts the loaded
    circuit in its kernel-coverage metrics. *)
 let test_warm_load_coverage () =
-  with_temp_dir @@ fun dir ->
+  S.with_temp_dir @@ fun dir ->
   let find_or_build () =
     let store =
       match St.create ~dir () with
@@ -265,8 +244,6 @@ let trace_fixture =
      let meta =
        {
          A.m_key = "trace|strassen|full|d=1|n=2|b=2|signed=false|tau=3";
-         m_templates = true;
-         m_kernels = true;
          m_build_seconds = 0.25;
          m_stats = T.Trace_circuit.stats built;
          m_io = io;
@@ -302,8 +279,6 @@ let matmul_fixture =
      let meta =
        {
          A.m_key = "matmul|strassen|full|d=1|n=2|b=2|signed=false|tau=0";
-         m_templates = false;
-         m_kernels = false;
          m_build_seconds = 0.125;
          m_stats = T.Matmul_circuit.stats built;
          m_io = io;
@@ -434,8 +409,6 @@ let test_no_boxed_loads () =
   let meta =
     {
       A.m_key = "matmul|strassen|thm45|d=2|n=8|b=1|signed=false|tau=0";
-      m_templates = true;
-      m_kernels = true;
       m_build_seconds = 0.;
       m_stats = T.Matmul_circuit.stats built;
       m_io =
@@ -499,7 +472,7 @@ let open_store dir =
 
 let test_store_save_find () =
   let _, packed, meta = Lazy.force trace_fixture in
-  with_temp_dir @@ fun dir ->
+  S.with_temp_dir @@ fun dir ->
   let store = open_store dir in
   (match St.save store ~meta packed with
   | Error m -> Alcotest.failf "save failed: %s" m
@@ -518,7 +491,7 @@ let test_store_save_find () =
 
 let test_key_mismatch () =
   let _, packed, meta = Lazy.force trace_fixture in
-  with_temp_dir @@ fun dir ->
+  S.with_temp_dir @@ fun dir ->
   let store = open_store dir in
   (match St.save store ~meta packed with
   | Error m -> Alcotest.failf "save failed: %s" m
@@ -546,7 +519,7 @@ let test_key_mismatch () =
 
 let test_payload_corruption_quarantined () =
   let _, packed, meta = Lazy.force trace_fixture in
-  with_temp_dir @@ fun dir ->
+  S.with_temp_dir @@ fun dir ->
   let store = open_store dir in
   (match St.save store ~meta packed with
   | Error m -> Alcotest.failf "save failed: %s" m
@@ -579,7 +552,7 @@ let test_payload_corruption_quarantined () =
 (* ------------------------------------------------------------------ *)
 
 (* Byte layout under test: magic at 0, u64 header length at 8, the
-   Codec-encoded header at 16 (tuple tags 't','t','t', then an 'i' tag
+   Codec-encoded header at 16 (tuple tags 't','p','t', then an 'i' tag
    and [h_format] as a u64 LE at bytes 20..27, then an 'i' tag and
    [h_kernel_rev] at bytes 29..36), and the header CRC-64 as one u64 LE
    at [16 + hlen].  Bump one revision's payload and re-sign the header
@@ -659,7 +632,7 @@ let test_stale_kernel_rev_recompiles () =
 
 let test_gc () =
   let _, packed, meta = Lazy.force trace_fixture in
-  with_temp_dir @@ fun dir ->
+  S.with_temp_dir @@ fun dir ->
   let store = open_store dir in
   (match St.save store ~meta packed with
   | Error m -> Alcotest.failf "save failed: %s" m

@@ -283,95 +283,6 @@ let test_fuzzer_over_templates () =
   | [] -> ()
   | f :: _ -> Alcotest.failf "fuzz failure: %s" f.Tcmm_check.Fuzz.message
 
-(* Kronpow rewrite over built circuits: on every matrix-of-algorithms
-   config with a multi-level step, the kronpow arm must (a) compute
-   bit-identical products, and (b) never exceed the flat arm's
-   gates + edges.  The strassen configs are known to factor (strict
-   decrease) — assert that too, so a planner regression that silently
-   stops factoring fails the suite. *)
-let kronpow_size kronpow ~mode ~algo ~sched ~entry_bits ~n =
-  let built =
-    Matmul_circuit.build ~mode ~signed_inputs:true ~kronpow ~algo ~schedule:sched
-      ~entry_bits ~n ()
-  in
-  let s = Builder.stats built.Matmul_circuit.builder in
-  (s.Stats.gates + s.Stats.edges, built)
-
-let test_kronpow_value_and_size () =
-  let rng = Prng.create ~seed:23 in
-  List.iter
-    (fun (algo, n, entry_bits, sname, expect_strict) ->
-      let label = Printf.sprintf "%s/%s N=%d b=%d" algo.Bilinear.name sname n entry_bits in
-      let sched = Level_schedule.resolve ~algo ~name:sname ~d:1 ~n in
-      let size_flat, flat =
-        kronpow_size false ~mode:Builder.Materialize ~algo ~sched ~entry_bits ~n
-      in
-      let size_kron, kron =
-        kronpow_size true ~mode:Builder.Materialize ~algo ~sched ~entry_bits ~n
-      in
-      Alcotest.(check bool)
-        (label ^ ": gates+edges never increase")
-        true (size_kron <= size_flat);
-      if expect_strict then
-        Alcotest.(check bool) (label ^ ": strictly smaller") true (size_kron < size_flat);
-      let hi = max 1 ((1 lsl (entry_bits - 1)) - 1) in
-      for _ = 1 to 3 do
-        let a = Matrix.random rng ~rows:n ~cols:n ~lo:(-hi) ~hi in
-        let b = Matrix.random rng ~rows:n ~cols:n ~lo:(-hi) ~hi in
-        let expect = Matrix.mul a b in
-        Alcotest.(check bool)
-          (label ^ ": kronpow value = product")
-          true
-          (Matrix.equal (Matmul_circuit.run kron ~a ~b) expect);
-        Alcotest.(check bool)
-          (label ^ ": flat value = product")
-          true
-          (Matrix.equal (Matmul_circuit.run flat ~a ~b) expect)
-      done)
-    [ (strassen, 4, 3, "direct", true); (Instances.laderman, 9, 2, "direct", false) ]
-
-(* Heavier matrix points: compare sizes only, in Count_only mode (no
-   materialization) — the width-gated planner must stay monotone on the
-   dense algorithms too. *)
-let test_kronpow_size_counts () =
-  List.iter
-    (fun (algo, n, entry_bits, sname, expect_strict) ->
-      let label = Printf.sprintf "%s/%s N=%d b=%d" algo.Bilinear.name sname n entry_bits in
-      let sched = Level_schedule.resolve ~algo ~name:sname ~d:1 ~n in
-      let size kronpow =
-        fst (kronpow_size kronpow ~mode:Builder.Count_only ~algo ~sched ~entry_bits ~n)
-      in
-      let size_flat = size false and size_kron = size true in
-      Alcotest.(check bool)
-        (label ^ ": gates+edges never increase")
-        true (size_kron <= size_flat);
-      if expect_strict then
-        Alcotest.(check bool) (label ^ ": strictly smaller") true (size_kron < size_flat))
-    [
-      (strassen, 8, 3, "thm45", true);
-      (Instances.winograd, 8, 2, "direct", false);
-      (Instances.laderman, 9, 4, "direct", true);
-      (Instances.strassen_squared, 16, 2, "direct", true);
-    ]
-
-(* The trace circuit threads kronpow through all three sum trees. *)
-let test_kronpow_trace_value () =
-  let rng = Prng.create ~seed:29 in
-  let algo = strassen in
-  let n = 4 in
-  let sched = Level_schedule.resolve ~algo ~name:"direct" ~d:1 ~n in
-  let tau = 3 in
-  let build kronpow =
-    Trace_circuit.build ~kronpow ~algo ~schedule:sched ~entry_bits:1 ~tau ~n ()
-  in
-  let flat = build false and kron = build true in
-  for _ = 1 to 8 do
-    let m = Matrix.random rng ~rows:n ~cols:n ~lo:0 ~hi:1 in
-    let expect = Trace_circuit.reference m >= tau in
-    Alcotest.(check bool) "kron trace" expect (Trace_circuit.run kron m);
-    Alcotest.(check bool) "flat trace" expect (Trace_circuit.run flat m)
-  done
-
 let () =
   Alcotest.run "templates"
     [
@@ -398,11 +309,5 @@ let () =
             test_kernel_differential;
           Alcotest.test_case "certifier" `Quick test_certifier_over_templates;
           Alcotest.test_case "fuzzer" `Quick test_fuzzer_over_templates;
-        ] );
-      ( "kronpow",
-        [
-          Alcotest.test_case "value + size" `Quick test_kronpow_value_and_size;
-          Alcotest.test_case "size counts" `Quick test_kronpow_size_counts;
-          Alcotest.test_case "trace value" `Quick test_kronpow_trace_value;
         ] );
     ]
