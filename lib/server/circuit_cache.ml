@@ -35,14 +35,18 @@ let create ?store ~capacity () : t =
 let store t = t.store
 
 (* [Conv] keys as "matmul": a served convolution runs through exactly
-   the n x n matmul circuit, so both kinds share one cache entry. *)
+   the n x n matmul circuit, so both kinds share one cache entry.  The
+   matmul circuit has no threshold to compare against, so its key
+   prints tau as 0 whatever the request says. *)
 let key (s : Protocol.spec) =
-  Printf.sprintf "%s|%s|%s|d=%d|n=%d|b=%d|signed=%b|tau=%d"
-    (match s.kind with
-    | Protocol.Matmul | Protocol.Conv -> "matmul"
-    | Protocol.Trace -> "trace"
-    | Protocol.Triangles -> "triangles")
-    s.algo s.schedule s.d s.n s.entry_bits s.signed s.tau
+  let kind, tau =
+    match s.kind with
+    | Protocol.Matmul | Protocol.Conv -> ("matmul", 0)
+    | Protocol.Trace -> ("trace", s.tau)
+    | Protocol.Triangles -> ("triangles", s.tau)
+  in
+  Printf.sprintf "%s|%s|%s|d=%d|n=%d|b=%d|signed=%b|tau=%d" kind s.algo
+    s.schedule s.d s.n s.entry_bits s.signed tau
 
 let algo_by_name name =
   match

@@ -63,7 +63,10 @@ val create : ?store:Tcmm_store.Store.t -> capacity:int -> unit -> t
 val store : t -> Tcmm_store.Store.t option
 
 val key : Protocol.spec -> string
-(** The canonical cache key (also the {!Batcher} coalescing key). *)
+(** The canonical cache key (also the {!Batcher} coalescing key).
+    Matmul and conv specs key as one "matmul" entry with tau printed as
+    0: their circuit ignores tau, so specs that differ only in it share
+    an entry and a stored artifact. *)
 
 val find_or_build :
   t -> Protocol.spec -> (entry * outcome, string) result

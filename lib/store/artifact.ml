@@ -340,14 +340,18 @@ let header_of_fd fd =
   let hdr = Bytes.sub_string rest 0 hlen in
   let stored = unpack_crc (Bytes.get_int64_le rest hlen) in
   if not (Crc64.equal stored (crc_string hdr)) then bad "header checksum mismatch";
-  let h =
-    match Codec.decode header_codec hdr with
-    | h -> h
-    | exception Codec.Error m -> bad "header decode: %s" m
-  in
-  if h.h_format <> format_version then
-    bad "stale format version %d (current %d)" h.h_format format_version;
-  (h, size)
+  (* Every header format so far opens with three composite tags and then
+     the format number as a tagged int at byte 3, so it is read before
+     the rest is decoded against this format's schema: a file of another
+     format is refused as stale, not reported as corrupt. *)
+  (match Codec.decode_at Codec.int hdr ~pos:3 with
+  | v when v <> format_version ->
+      bad "stale format version %d (current %d)" v format_version
+  | _ -> ()
+  | exception Codec.Error m -> bad "header decode: %s" m);
+  match Codec.decode header_codec hdr with
+  | h -> (h, size)
+  | exception Codec.Error m -> bad "header decode: %s" m
 
 let read_header ~path =
   match

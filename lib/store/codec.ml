@@ -228,3 +228,5 @@ let decode c s =
   let v = c.read s pos in
   if !pos <> String.length s then err "%d trailing bytes after value" (String.length s - !pos);
   v
+
+let decode_at c s ~pos = c.read s (ref pos)

@@ -24,6 +24,10 @@ exception Error of string
 val encode : 'a t -> 'a -> string
 val decode : 'a t -> string -> 'a
 
+val decode_at : 'a t -> string -> pos:int -> 'a
+(** The one value encoded at byte [pos] of a longer string, ignoring
+    whatever follows it.  Raises {!Error} like {!decode}. *)
+
 val unit : unit t
 val bool : bool t
 

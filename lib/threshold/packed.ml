@@ -127,7 +127,7 @@ and fanout = {
      per-edge cost of a flip at two sequential loads — a binary search
      for the owning segment on every touched edge dominated update
      latency before this. *)
-  fan_seg : ivec;  (* owning segment id, length pool_edges *)
+  fan_seg : i32vec;  (* owning segment id (< num_gates), length pool_edges *)
   fan_weight : ivec;  (* edge weight, length pool_edges *)
 }
 
@@ -678,7 +678,7 @@ let fanout_index t =
          edge ranges, so walking segments, then their groups, then the
          groups' edges visits the pool in order with each edge's owner
          and weight in hand. *)
-      let seg = ba_create nedges in
+      let seg = ba32_create nedges in
       let wgt = ba_create nedges in
       let cur = ba_create (nw + 1) in
       Bigarray.Array1.blit off cur;
@@ -688,7 +688,7 @@ let fanout_index t =
           for e = t.grp_off.(g) to t.grp_off.(g + 1) - 1 do
             let w = wget t.pool_wires e in
             let c = bget cur w in
-            bset seg c s;
+            wset seg c s;
             bset wgt c wt;
             bset cur w (c + 1)
           done
@@ -698,65 +698,59 @@ let fanout_index t =
       t.fanout <- Some f;
       f
 
-(* Per-segment session state, interleaved 4 ints (32 bytes) per segment
-   so that touching a segment in the hot flip path costs at most one
-   cache line, not one miss per parallel array (the scattered layout
-   dominated update latency before this):
-     base+0  cached weighted sum
-     base+1  bracket low   — the cut is unchanged while lo <= sum
-     base+2  bracket high  — ... and sum < hi
-     base+3  level lsl 1 lor queued-dirty bit for the in-flight update
-   The firing-prefix length (cut) is only read by the sweep — two
-   orders of magnitude fewer touches than the flip path — and lives in
-   a side array to keep the hot stride at a half line. *)
+(* The session state lives in C (session_stubs.c), which owns the
+   layout: one 32-byte line per segment holding its sum relative to its
+   bracket, its gate range, its cut and its level, so both the touch
+   loop and the level sweep read one line per segment.  [session]
+   writes each segment's sum into word 0 and its cut into word 3, and
+   [session_init_stub] packs the lines from there. *)
 type session = {
   ss_t : t;
+  ss_f : fanout;
   ss_values : Bytes.t;  (* last-known value of every wire *)
-  ss_st : ivec;  (* 4 * num_segments, layout above *)
-  ss_cut : int array;  (* per segment: firing-prefix length *)
+  ss_st : ivec;  (* 4 words per segment *)
   ss_lf : int array;  (* per level: cached firing count *)
-  ss_queue : Intvec.t array;  (* per level: queued dirty segment ids *)
-  ss_out : ivec;  (* scratch: crossing segment ids from the C touch loop *)
-  ss_wires : ivec;  (* scratch: staged wire flips, wire lsl 1 lor value *)
-  mutable ss_nwires : int;  (* staged flips pending a flush *)
+  (* Level [l]'s queue of segments whose sum left its bracket is the
+     region of [ss_queue] from [level_segs.(l)] (a segment is queued at
+     most once per update) to [ss_qtail.(l)], which is back at
+     [level_segs.(l)] after every update. *)
+  ss_queue : i32vec;
+  ss_qtail : ivec;
+  mutable ss_wires : ivec;  (* staged wire flips, wire lsl 1 lor value *)
+  ss_dirty : int array;  (* [| dirty segments; dirty gates |], cumulative *)
   mutable ss_updates : int;
   mutable ss_flips : int;
-  mutable ss_dirty_segs : int;
-  mutable ss_dirty_gates : int;
 }
 
-(* The per-edge delta loop lives in C (session_stubs.c) so it can issue
-   software prefetches for the random state-array lines; the box this
-   targets is latency-bound on exactly that access.  Wire flips are
-   staged into [ss_wires] (values bytes written eagerly so duplicate
-   delta entries still cancel) and flushed a level at a time, giving
-   the stub enough edges in one call to keep many misses in flight.
-   The stub appends bracket-crossing segment ids to [ss_out]; the
-   level-queue distribution stays here.  No allocation, no callbacks,
-   no exceptions on the C side. *)
-external session_touch_many_stub :
-  ivec -> ivec -> ivec -> ivec -> ivec -> int -> ivec -> int
-  = "tcmm_session_touch_many_byte" "tcmm_session_touch_many"
+external session_init_stub : ivec -> ivec -> int array -> int array -> unit
+  = "tcmm_session_init"
 [@@noalloc]
 
-(* The cut is unchanged exactly while the sum stays inside
-   [thr(glo + cut - 1), thr(glo + cut)) — refresh after any cut move.
-   The open ends use integer sentinels a real sum never escapes. *)
-let set_bracket t st base ~glo ~ghi cut =
-  bset st (base + 1)
-    (if cut = 0 then min_int else bget t.g_threshold (glo + cut - 1));
-  bset st (base + 2)
-    (if glo + cut >= ghi then max_int else bget t.g_threshold (glo + cut))
+external session_update_stub :
+  ivec ->
+  Bytes.t ->
+  ivec ->
+  i32vec ->
+  ivec ->
+  ivec ->
+  i32vec ->
+  int array ->
+  i32vec ->
+  ivec ->
+  ivec ->
+  int ->
+  int array ->
+  int array ->
+  unit = "tcmm_session_update_byte" "tcmm_session_update"
+[@@noalloc]
 
 let session t inputs =
   check_width "session" t inputs;
   let values = Bytes.create t.num_wires in
   load_inputs t values inputs;
-  ignore (fanout_index t : fanout);
+  let f = fanout_index t in
   let nsegs = Array.length t.seg_off in
-  let st = ba_create (4 * max nsegs 1) in
-  Bigarray.Array1.fill st 0;
-  let ss_cut = Array.make (max nsegs 1) 0 in
+  let st = ba_create (4 * nsegs) in
   let ss_lf = Array.make t.levels 0 in
   for l = 0 to t.levels - 1 do
     let fired = ref 0 in
@@ -764,30 +758,26 @@ let session t inputs =
       let glo = t.seg_gates.(s) and ghi = t.seg_gates.(s + 1) in
       let sum = seg_sum t values s in
       let cut = seg_cut t ~glo ~ghi sum in
-      let base = s lsl 2 in
-      bset st (base + 0) sum;
-      bset st (base + 3) (l lsl 1);
-      set_bracket t st base ~glo ~ghi cut;
-      ss_cut.(s) <- cut;
+      bset st (s lsl 2) sum;
+      bset st ((s lsl 2) + 3) cut;
       fire_prefix t values ~glo cut;
       fired := !fired + cut
     done;
     ss_lf.(l) <- !fired
   done;
+  session_init_stub st t.g_threshold t.seg_gates t.level_segs;
   {
     ss_t = t;
+    ss_f = f;
     ss_values = values;
     ss_st = st;
-    ss_cut;
     ss_lf;
-    ss_queue = Array.init (max t.levels 1) (fun _ -> Intvec.create ());
-    ss_out = ba_create (max nsegs 1);
-    ss_wires = ba_create (max (Bytes.length values) 1);
-    ss_nwires = 0;
+    ss_queue = ba32_create nsegs;
+    ss_qtail = ba_of_array (Array.sub t.level_segs 0 t.levels);
+    ss_wires = ba_create t.num_wires;
+    ss_dirty = [| 0; 0 |];
     ss_updates = 0;
     ss_flips = 0;
-    ss_dirty_segs = 0;
-    ss_dirty_gates = 0;
   }
 
 let session_result ss =
@@ -804,41 +794,6 @@ let session_inputs ss =
   Array.init ss.ss_t.num_inputs (fun i ->
       Bytes.unsafe_get ss.ss_values i <> '\000')
 
-(* Flip wire [w] to [v]: write its value byte and stage the flip for
-   [flush_touches]. *)
-let touch_wire ss w v =
-  Bytes.unsafe_set ss.ss_values w (if v then '\001' else '\000');
-  let n = ss.ss_nwires in
-  bset ss.ss_wires n ((w lsl 1) lor Bool.to_int v);
-  ss.ss_nwires <- n + 1
-
-(* Run the staged wire flips through the C touch loop: it delta-adjusts
-   every segment reading them through the transposed index, and only
-   the segments whose sum left its firing-cut bracket are queued here,
-   by level — a segment whose cut cannot have moved is never swept at
-   all.  Readers sit at strictly later levels than the writer (depths
-   increase along edges), so a flip raised while level [l] is swept
-   only ever queues levels > l.  A wire is staged at most once between
-   flushes: delta entries are deduplicated against the value bytes,
-   and within one level sweep each gate wire changes at most once. *)
-let flush_touches ss f =
-  let n = ss.ss_nwires in
-  if n > 0 then begin
-    ss.ss_nwires <- 0;
-    let st = ss.ss_st in
-    let queue = ss.ss_queue in
-    let out = ss.ss_out in
-    let m =
-      session_touch_many_stub st f.fan_off f.fan_seg f.fan_weight ss.ss_wires n
-        out
-    in
-    for k = 0 to m - 1 do
-      let s = bget out k in
-      let lvd = bget st ((s lsl 2) + 3) in
-      Intvec.push (Array.unsafe_get queue (lvd lsr 1)) s
-    done
-  end
-
 let update ss delta =
   let t = ss.ss_t in
   (* Validate the whole delta before touching any state, so a rejected
@@ -850,54 +805,29 @@ let update ss delta =
           (Printf.sprintf "Packed.update: wire %d is not an input (inputs: %d)"
              i t.num_inputs))
     delta;
-  let f = fanout_index t in
   ss.ss_updates <- ss.ss_updates + 1;
+  (* Stage the input flips, deduplicated against the value bytes, which
+     are written eagerly so duplicate entries still cancel; the stub
+     then runs the touch loop and the level sweep.  A delta with more
+     entries than the circuit has wires (repeated flips of one input)
+     needs a longer staging buffer than any level sweep does. *)
+  if Array.length delta > Bigarray.Array1.dim ss.ss_wires then
+    ss.ss_wires <- ba_create (Array.length delta);
+  let wires = ss.ss_wires in
+  let n = ref 0 in
   Array.iter
     (fun (i, v) ->
       if Bytes.unsafe_get ss.ss_values i <> '\000' <> v then begin
-        ss.ss_flips <- ss.ss_flips + 1;
-        touch_wire ss i v
+        Bytes.unsafe_set ss.ss_values i (if v then '\001' else '\000');
+        bset wires !n ((i lsl 1) lor Bool.to_int v);
+        incr n
       end)
     delta;
-  flush_touches ss f;
-  (* Sweep the queued segments level by level.  Only segments whose sum
-     crossed a threshold are ever queued, so the sweep re-decides the
-     cut, patches the level firing count, and propagates the changed
-     gate wires; when no level queues anything further the cone has
-     collapsed — the early exit is structural, not a test. *)
-  let st = ss.ss_st in
-  for l = 0 to t.levels - 1 do
-    let q = ss.ss_queue.(l) in
-    let n = Intvec.length q in
-    if n > 0 then begin
-      ss.ss_dirty_segs <- ss.ss_dirty_segs + n;
-      for k = 0 to n - 1 do
-        let s = Intvec.get q k in
-        let base = s lsl 2 in
-        bset st (base + 3) (bget st (base + 3) land lnot 1);
-        let glo = Array.unsafe_get t.seg_gates s in
-        let ghi = Array.unsafe_get t.seg_gates (s + 1) in
-        ss.ss_dirty_gates <- ss.ss_dirty_gates + ghi - glo;
-        let cut = seg_cut t ~glo ~ghi (bget st (base + 0)) in
-        let old = Array.unsafe_get ss.ss_cut s in
-        if cut <> old then begin
-          Array.unsafe_set ss.ss_cut s cut;
-          set_bracket t st base ~glo ~ghi cut;
-          ss.ss_lf.(l) <- ss.ss_lf.(l) + cut - old;
-          if cut > old then
-            for g = glo + old to glo + cut - 1 do
-              touch_wire ss (wget t.g_wire g) true
-            done
-          else
-            for g = glo + cut to glo + old - 1 do
-              touch_wire ss (wget t.g_wire g) false
-            done
-        end
-      done;
-      Intvec.clear q;
-      flush_touches ss f
-    end
-  done;
+  ss.ss_flips <- ss.ss_flips + !n;
+  let f = ss.ss_f in
+  session_update_stub ss.ss_st ss.ss_values f.fan_off f.fan_seg f.fan_weight
+    t.g_threshold t.g_wire t.level_segs ss.ss_queue ss.ss_qtail wires !n
+    ss.ss_lf ss.ss_dirty;
   session_result ss
 
 type session_stats = {
@@ -913,8 +843,8 @@ let session_stats ss =
   {
     su_updates = ss.ss_updates;
     su_flips = ss.ss_flips;
-    su_dirty_segments = ss.ss_dirty_segs;
-    su_dirty_gates = ss.ss_dirty_gates;
+    su_dirty_segments = ss.ss_dirty.(0);
+    su_dirty_gates = ss.ss_dirty.(1);
     su_segments = Array.length ss.ss_t.seg_off;
     su_gates = ss.ss_t.num_gates;
   }

@@ -107,13 +107,14 @@ val run : t -> bool array -> Simulator.result
     flips) change a handful of input bits between evaluations.  A
     session keeps the full wire state of its last evaluation plus, per
     segment, the cached weighted sum, the firing cut, and the threshold
-    bracket the sum must leave for the cut to move.  {!update}
-    delta-adjusts the sums of every reading segment through the
-    transposed (wire → reading edges) CSR index — a batched C loop that
-    keeps many state-line misses in flight — but queues only the
-    segments whose sum crossed its bracket; the sweep then re-decides
-    those level by level, propagating changed gate wires downward until
-    no level queues anything further.  Delta-adjusted sums stay within
+    bracket the sum must leave for the cut to move.  {!update}, one C
+    call once the delta is validated, delta-adjusts the sums of every
+    reading segment through the transposed (wire → reading edges) CSR
+    index — a loop that keeps many state-line misses in flight — but
+    queues only the segments whose sum crossed its bracket; the sweep
+    then re-decides those level by level, propagating changed gate
+    wires downward until no level queues anything further.  A segment's
+    whole state is one 32-byte line.  Delta-adjusted sums stay within
     the segment's weight masses, like every other sum (see the
     arithmetic bound above).  Results are bit-identical to a
     from-scratch {!run} in [outputs], [firings] and [level_firings] —

@@ -322,6 +322,56 @@ let test_stream_incremental_trace () =
       = [| 6 * Triangles.count !g >= tau |])
   done
 
+(* The served trace8 circuit (Strassen, thm45, d=2, N=8, tau 6, Direct
+   with kernels) under 200 single-edge flips of a seeded ER p=0.3
+   graph.  The session's dirty totals are pinned to those of the OCaml
+   level sweep the C sweep replaced: the sweep must re-decide exactly
+   the same segments, not merely reach the same answers.  Every 20th
+   state is also compared bit for bit (every wire value, outputs,
+   firings, level firings) with a from-scratch run. *)
+let test_stream_trace8_pinned_counts () =
+  let rng = Prng.create ~seed:2026 in
+  let n = 8 in
+  let g = ref (Generate.erdos_renyi rng ~n ~p:0.3) in
+  let algo = Tcmm_fastmm.Instances.strassen in
+  let built =
+    Tcmm.Trace_circuit.build ~mode:Tcmm_threshold.Builder.Direct ~algo
+      ~schedule:(Tcmm.Level_schedule.resolve ~algo ~name:"thm45" ~d:2 ~n)
+      ~entry_bits:1 ~tau:6 ~n ()
+  in
+  let layout = built.Tcmm.Trace_circuit.layout in
+  let p = Tcmm.Trace_circuit.pack built in
+  let ss =
+    Tcmm_threshold.Packed.session p
+      (Tcmm.Trace_circuit.encode_input built (Graph.adjacency !g))
+  in
+  for k = 1 to 200 do
+    let i = Prng.int rng ~bound:n in
+    let j = (i + 1 + Prng.int rng ~bound:(n - 1)) mod n in
+    let g', d = Stream.delta ~layout !g [ (i, j) ] in
+    g := g';
+    let r = Tcmm_threshold.Packed.update ss d in
+    if k mod 20 = 0 then begin
+      let full =
+        Tcmm_threshold.Packed.run p
+          (Tcmm.Trace_circuit.encode_input built (Graph.adjacency !g))
+      in
+      let open Tcmm_threshold.Simulator in
+      S.check_bool (Printf.sprintf "flip %d: wire values" k) true
+        (Bytes.equal r.values full.values);
+      S.check_bool (Printf.sprintf "flip %d: outputs" k) true
+        (r.outputs = full.outputs);
+      S.check_int (Printf.sprintf "flip %d: firings" k) full.firings r.firings;
+      S.check_bool (Printf.sprintf "flip %d: level firings" k) true
+        (r.level_firings = full.level_firings)
+    end
+  done;
+  let st = Tcmm_threshold.Packed.session_stats ss in
+  S.check_int "updates" 200 st.Tcmm_threshold.Packed.su_updates;
+  S.check_int "flips" 400 st.Tcmm_threshold.Packed.su_flips;
+  S.check_int "dirty segments" 114_261 st.Tcmm_threshold.Packed.su_dirty_segments;
+  S.check_int "dirty gates" 339_285 st.Tcmm_threshold.Packed.su_dirty_gates
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: trace circuit counts triangles                         *)
 (* ------------------------------------------------------------------ *)
@@ -418,6 +468,8 @@ let () =
           Alcotest.test_case "delta wires" `Quick test_stream_delta_wires;
           Alcotest.test_case "incremental trace session" `Quick
             test_stream_incremental_trace;
+          Alcotest.test_case "trace8 session pinned dirty counts" `Quick
+            test_stream_trace8_pinned_counts;
         ] );
       ( "end_to_end",
         [

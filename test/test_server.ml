@@ -688,6 +688,30 @@ let test_circuit_cache_kronpow_stored () =
   expect_outcome "flat twin" Cc.Loaded (Cc.find_or_build cc small_spec);
   S.check_int "flat spec loads the twin" 1 (St.counters store).St.loads
 
+(* The matmul circuit ignores tau, so a tau-1 spec (the CLI default) and
+   its tau-0 twin are one entry: the second is served from the first's
+   artifact, and the store holds one file. *)
+let test_circuit_cache_matmul_ignores_tau () =
+  let module Cc = Tcmm_server.Circuit_cache in
+  let module St = Tcmm_store.Store in
+  S.with_temp_dir @@ fun dir ->
+  let fresh_cache () =
+    match St.create ~dir () with
+    | Ok store -> (store, Cc.create ~store ~capacity:2 ())
+    | Error e -> Alcotest.fail e
+  in
+  let _, writer = fresh_cache () in
+  expect_outcome "tau 1" Cc.Built
+    (Cc.find_or_build writer { small_spec with P.tau = 1 });
+  let store, cc = fresh_cache () in
+  expect_outcome "tau 0" Cc.Loaded (Cc.find_or_build cc small_spec);
+  S.check_int "one stored artifact" 1 (List.length (St.list store));
+  Alcotest.(check string) "tau-0 key unchanged"
+    "matmul|strassen|thm45|d=1|n=2|b=1|signed=false|tau=0"
+    (Cc.key { small_spec with P.tau = 7 });
+  Alcotest.(check string) "conv shares the matmul key" (Cc.key small_spec)
+    (Cc.key { small_spec with P.kind = P.Conv; tau = 3 })
+
 (* The widest entries a matmul spec admits: signed 28-bit entries at
    n=2 put segment sums at up to 61 bits, inside the packed form's
    proven weight-mass bound.  Products at the extremes must match the
@@ -1022,6 +1046,8 @@ let () =
           Alcotest.test_case "rejects" `Quick test_circuit_cache_rejects;
           Alcotest.test_case "kronpow refused over a resident twin" `Quick
             test_circuit_cache_kronpow_resident;
+          Alcotest.test_case "matmul key ignores tau" `Quick
+            test_circuit_cache_matmul_ignores_tau;
           Alcotest.test_case "kronpow refused over a stored twin" `Quick
             test_circuit_cache_kronpow_stored;
           Alcotest.test_case "widest entries exact" `Quick

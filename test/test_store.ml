@@ -557,6 +557,15 @@ let test_payload_corruption_quarantined () =
    [h_kernel_rev] at bytes 29..36), and the header CRC-64 as one u64 LE
    at [16 + hlen].  Bump one revision's payload and re-sign the header
    so only that revision's check can object. *)
+let resign bytes =
+  let hlen = Int64.to_int (Bytes.get_int64_le bytes 8) in
+  let hi, lo =
+    Crc64.digest (Crc64.feed_bytes Crc64.init bytes ~pos:16 ~len:hlen)
+  in
+  Bytes.set_int64_le bytes (16 + hlen)
+    (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo));
+  Bytes.to_string bytes
+
 let bump_revision ~what ~pos ~current =
   let bytes = Bytes.of_string (Lazy.force trace_bytes) in
   S.check_int "codec tuple tag" (Char.code 't') (Char.code (Bytes.get bytes 16));
@@ -566,17 +575,46 @@ let bump_revision ~what ~pos ~current =
     (Printf.sprintf "%s low byte is the current revision" what)
     (current land 0xff)
     (Char.code (Bytes.get bytes pos));
-  let hlen = Int64.to_int (Bytes.get_int64_le bytes 8) in
   Bytes.set bytes pos (Char.chr ((current + 1) land 0xff));
-  let hi, lo =
-    Crc64.digest (Crc64.feed_bytes Crc64.init bytes ~pos:16 ~len:hlen)
-  in
-  Bytes.set_int64_le bytes (16 + hlen)
-    (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo));
-  Bytes.to_string bytes
+  resign bytes
 
 let stale_format_bytes () =
   bump_revision ~what:"h_format" ~pos:20 ~current:A.format_version
+
+(* A header shaped like format v3's: its second tag opens a triple where
+   v4's opens a pair, and its format word says 3.  It does not decode
+   against the current schema at all, so only a reader that reads the
+   format word first can say what is wrong with it. *)
+let v3_shaped_bytes () =
+  let bytes = Bytes.of_string (Lazy.force trace_bytes) in
+  S.check_int "v4 header opens a pair" (Char.code 'p')
+    (Char.code (Bytes.get bytes 17));
+  Bytes.set bytes 17 't';
+  Bytes.set_int64_le bytes 20 3L;
+  resign bytes
+
+(* Run [f] under a Logs reporter that keeps every message. *)
+let with_logs f =
+  let msgs = ref [] in
+  let report _ _ ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun m ->
+            msgs := m :: !msgs;
+            over ();
+            k ())
+          fmt)
+  in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter { Logs.report };
+  Logs.set_level (Some Logs.Warning);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level)
+    (fun () ->
+      let r = f () in
+      (List.rev !msgs, r))
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -594,6 +632,25 @@ let test_stale_format_rejected () =
   match A.read ~path () with
   | Ok _ -> Alcotest.fail "read accepted a stale format version"
   | Error _ -> ()
+
+let test_v3_header_quarantined_as_stale () =
+  let _, _, meta = Lazy.force trace_fixture in
+  let key = meta.A.m_key in
+  S.with_temp_dir @@ fun dir ->
+  let store = open_store dir in
+  let path = St.path_of_key store key in
+  write_file path (v3_shaped_bytes ());
+  let logs, found = with_logs (fun () -> St.find store ~key) in
+  S.check_bool "stale artifact reports a miss" true (Option.is_none found);
+  S.check_int "counted invalid" 1 (St.counters store).St.invalid;
+  S.check_bool "stale file quarantined" true
+    (Sys.file_exists (path ^ ".corrupt"));
+  S.check_bool "quarantine reason names the stale format" true
+    (List.exists
+       (fun m ->
+         contains ~needle:"quarantined" m
+         && contains ~needle:"stale format version 3" m)
+       logs)
 
 (* An artifact written under another kernel revision loads by
    recompiling every segment's kernel from the pools, the edge weights
@@ -791,6 +848,8 @@ let () =
             test_payload_corruption_quarantined;
           Alcotest.test_case "stale format rejected" `Quick
             test_stale_format_rejected;
+          Alcotest.test_case "v3 header quarantined as stale" `Quick
+            test_v3_header_quarantined_as_stale;
           Alcotest.test_case "stale kernel revision recompiles" `Quick
             test_stale_kernel_rev_recompiles;
           Alcotest.test_case "gc sweeps dead files" `Quick test_gc;

@@ -891,7 +891,85 @@ let test_packed_session_rejects_bad_delta () =
   S.check_bool "no-op outputs" true (r.Simulator.outputs = [| false |]);
   let stats = Packed.session_stats ss in
   S.check_int "two flips counted" 2 stats.Packed.su_flips;
-  S.check_int "gates" 1 stats.Packed.su_gates
+  S.check_int "gates" 1 stats.Packed.su_gates;
+  (* More real flips in one delta than the circuit has wires. *)
+  let r = Packed.update ss (Array.init 10 (fun k -> (0, k mod 2 = 0))) in
+  S.check_bool "long delta = from-scratch run" true
+    (same_result (Packed.run p [| false; false |]) r);
+  S.check_int "ten more flips" 12 (Packed.session_stats ss).Packed.su_flips
+
+(* Drive [p] through [updates] random deltas of 1-3 input flips and
+   demand after every one that the session equals a from-scratch run in
+   every wire value, output and firing count. *)
+let session_tracks_run name p ~inputs ~updates rng =
+  let current = Array.init inputs (fun _ -> Tcmm_util.Prng.bool rng) in
+  let ss = Packed.session p current in
+  for u = 1 to updates do
+    let delta =
+      Array.init
+        (1 + Tcmm_util.Prng.int rng ~bound:3)
+        (fun _ ->
+          let i = Tcmm_util.Prng.int rng ~bound:inputs in
+          current.(i) <- not current.(i);
+          (i, current.(i)))
+    in
+    let r = Packed.update ss delta in
+    if not (same_result (Packed.run p current) r) then
+      Alcotest.failf "%s: update %d diverges from a from-scratch run" name u
+  done
+
+(* A chain of 300 levels, past any 7-bit level field: mostly inverters,
+   so a flip at its head re-decides every level below, with gates every
+   ten levels that mix in an input pair and can stop the cone. *)
+let test_packed_session_deep_chain () =
+  let b = Builder.create () in
+  let ins = Builder.add_inputs b 8 in
+  let prev = ref ins.(0) in
+  for i = 1 to 300 do
+    let g =
+      if i mod 10 = 5 then
+        Builder.add_gate b
+          ~inputs:[| !prev; ins.(i mod 8); ins.((i + 3) mod 8) |]
+          ~weights:[| 1; 1; -1 |] ~threshold:1
+      else Builder.add_gate b ~inputs:[| !prev |] ~weights:[| -1 |] ~threshold:0
+    in
+    if i mod 50 = 0 then Builder.output b g;
+    prev := g
+  done;
+  let p = Packed.of_circuit (Builder.finalize b) in
+  S.check_bool "deeper than 128 levels" true (Packed.num_levels p > 128);
+  session_tracks_run "deep chain" p ~inputs:8 ~updates:200
+    (Tcmm_util.Prng.create ~seed:128)
+
+(* One shared segment of 70,000 gates, past any 16-bit cut or gate-count
+   field, with one threshold per integer: a flip of an input of weight w
+   moves the cut by w gates, up or down.  The thresholds put gate 65,536
+   at the mean sum, so the cut keeps crossing it.  A second level reads
+   a spread of the segment's gates, so the moved gate wires
+   propagate. *)
+let test_packed_session_wide_segment () =
+  let rng = Tcmm_util.Prng.create ~seed:65_536 in
+  let b = Builder.create () in
+  let ins = Builder.add_inputs b 20 in
+  let weights =
+    Array.map
+      (fun _ ->
+        let w = Tcmm_util.Prng.int_range rng ~lo:(-3000) ~hi:3000 in
+        if w = 0 then 1 else w)
+      ins
+  in
+  let mean = Array.fold_left ( + ) 0 weights / 2 in
+  let thresholds = Array.init 70_000 (fun i -> i - 65_536 + mean) in
+  let layer = Builder.add_shared_gates b ~inputs:ins ~weights ~thresholds in
+  let readers = Array.init 50 (fun k -> layer.(k * 1_399)) in
+  Builder.output b
+    (Builder.add_gate b ~inputs:readers
+       ~weights:(Array.mapi (fun k _ -> if k mod 2 = 0 then 1 else -1) readers)
+       ~threshold:1);
+  Array.iter (Builder.output b) readers;
+  let p = Packed.of_circuit (Builder.finalize b) in
+  S.check_int "one segment per level" 2 (Packed.num_segments p);
+  session_tracks_run "wide segment" p ~inputs:20 ~updates:200 rng
 
 (* > 62 lanes forces the multi-word batch path; the wide shared layer with
    few distinct weights drives the grouped-popcount accumulation. *)
@@ -1397,5 +1475,9 @@ let () =
           Alcotest.test_case "session delta validation" `Quick
             test_packed_session_rejects_bad_delta;
           prop_packed_session_matches_full;
+          Alcotest.test_case "session past 128 levels" `Quick
+            test_packed_session_deep_chain;
+          Alcotest.test_case "session segment past 65,536 gates" `Quick
+            test_packed_session_wide_segment;
         ] );
     ]
