@@ -679,9 +679,10 @@ let e23 ?(ns = [ 16; 32 ]) () =
    persist) by at least 10x — that restart ratio is the point of the
    store, so a regression fails the bench rather than quietly shipping
    a slow loader.  Other sizes record their ratios without a floor:
-   load time is CRC-64-throughput-bound (about 1 GB/s per core) and so
-   linear in artifact bytes, which grow faster than build time past
-   N=16 on a single core.  Recorded as BENCH_store.json. *)
+   load time is linear in artifact bytes (each is checksummed and its
+   wire ids bounds-checked at memory speed, several GB/s), and the
+   bytes grow faster than build time past N=16.  Recorded as
+   BENCH_store.json. *)
 let e24 ?(ns = [ 8; 16; 32 ]) () =
   Bench_util.header "E24: artifact store (cold build vs save vs warm load)";
   let module Th = Tcmm_threshold in

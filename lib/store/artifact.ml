@@ -406,9 +406,15 @@ let read ?key ~path () =
         in
         let i32 name = snd (mapped Bigarray.int32 Crc64.feed_i32vec ~width:4 name) in
         let vec name = snd (mapped Bigarray.int Crc64.feed_ivec ~width:8 name) in
+        (* With the element kind fixed, each read is one load: no
+           closure call and no polymorphic Bigarray access. *)
         let arr name =
           let len, v = mapped Bigarray.int Crc64.feed_ivec ~width:8 name in
-          Array.init len (Bigarray.Array1.get v)
+          let a = Array.make len 0 in
+          for i = 0 to len - 1 do
+            Array.unsafe_set a i (Bigarray.Array1.unsafe_get v i)
+          done;
+          a
         in
         let kern_recompiled = h.h_kernel_rev <> Kernel.format_rev in
         let sections =

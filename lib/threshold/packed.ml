@@ -52,6 +52,18 @@ let[@inline always] wget (v : i32vec) i =
 let[@inline always] wset (v : i32vec) i x =
   Bigarray.Array1.unsafe_set v i (Int32.of_int x)
 
+(* pool_stubs.c.  [sort_wires_stub v pos len] sorts [v]'s slice in
+   place, false when the slice is not inside [v];
+   [first_wire_outside v n lo hi] is the first of [v]'s first [n] wire
+   ids outside [lo, hi), -1 if none, -2 if [n] or the range is out of
+   bounds. *)
+external sort_wires_stub : i32vec -> int -> int -> bool = "tcmm_sort_wires"
+[@@noalloc]
+
+external first_wire_outside : i32vec -> int -> int -> int -> int
+  = "tcmm_first_wire_outside"
+[@@noalloc]
+
 let check_wire_count name num_wires =
   if num_wires > max_wires then
     invalid_arg
@@ -470,13 +482,8 @@ let of_arena ?(kernels = true) (a : Builder.arena) =
          let a0 = e + gs.(g) in
          let a1 = if g + 1 < ngr then e + gs.(g + 1) else e + ps.Template.q_fan in
          let len = a1 - a0 in
-         if len >= 16 then begin
-           let tmp = Array.init len (fun i -> wget pool_wires (a0 + i)) in
-           Array.sort (fun (x : int) y -> compare x y) tmp;
-           for i = 0 to len - 1 do
-             wset pool_wires (a0 + i) tmp.(i)
-           done
-         end
+         if len >= 16 && not (sort_wires_stub pool_wires a0 len) then
+           invalid_arg "Packed.of_arena: weight group outside the edge pool"
        done);
     let th = ps.Template.q_th and thg = ps.Template.q_th_gate in
     for i = 0 to ps.Template.q_count - 1 do
@@ -1771,15 +1778,12 @@ let load ?(recompile = false) s =
     | Some seg -> fail "segment %d's weight mass does not fit a native int" seg
     | None -> ());
     (* Bounds that make the evaluators' unsafe accesses safe. *)
-    for e = 0 to nedges - 1 do
-      let w = wget s.sec_pool_wires e in
-      if w < 0 || w >= num_wires then fail "edge %d reads out-of-range wire" e
-    done;
-    for g = 0 to ng - 1 do
-      let w = wget s.sec_g_wire g in
-      if w < num_inputs || w >= num_wires then
-        fail "gate %d writes out-of-range wire" g
-    done;
+    (match first_wire_outside s.sec_pool_wires nedges 0 num_wires with
+    | -1 -> ()
+    | e -> fail "edge %d reads out-of-range wire" e);
+    (match first_wire_outside s.sec_g_wire ng num_inputs num_wires with
+    | -1 -> ()
+    | g -> fail "gate %d writes out-of-range wire" g);
     Array.iteri
       (fun i w ->
         if w < 0 || w >= num_wires then fail "output %d out of range" i)

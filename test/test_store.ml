@@ -290,6 +290,23 @@ let matmul_fixture =
 (* CRC-64                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Bit-at-a-time CRC-64/XZ: the reference every feeding path is held
+   to, whichever of the native table and folding paths it takes. *)
+let crc64_ref b =
+  let c = ref (-1L) in
+  Bytes.iter
+    (fun ch ->
+      c := Int64.logxor !c (Int64.of_int (Char.code ch));
+      for _ = 1 to 8 do
+        let odd = Int64.logand !c 1L = 1L in
+        c := Int64.shift_right_logical !c 1;
+        if odd then c := Int64.logxor !c 0xC96C5795D7870F42L
+      done)
+    b;
+  let d = Int64.lognot !c in
+  ( Int64.to_int (Int64.shift_right_logical d 32),
+    Int64.to_int (Int64.logand d 0xFFFFFFFFL) )
+
 let test_crc64_check_vector () =
   Alcotest.(check string)
     "CRC-64/XZ of \"123456789\"" "995dc9bbdf1939fa"
@@ -304,22 +321,127 @@ let test_crc64_word_vs_bytes =
         (Crc64.digest (Crc64.feed_word Crc64.init w))
         (Crc64.digest (Crc64.feed_bytes Crc64.init b ~pos:0 ~len:8)))
 
+(* Vectors of 0..4096 elements, short ones often (the table path
+   below 64 bytes, the folding path above), read from a random [pos]
+   in two pieces split at a random point, so the register is also
+   carried from one call into the next. *)
+let vec_gen elt =
+  Gen.(
+    triple
+      (array_size (oneof [ int_bound 20; int_bound 4096 ]) elt)
+      nat nat)
+
+let pos_split n r1 r2 =
+  let pos = r1 mod (n + 1) in
+  (pos, pos + (r2 mod (n - pos + 1)))
+
+let test_crc64_bytes_vs_ref =
+  S.qcheck_case ~count:300 "feed_bytes = bitwise CRC-64/XZ"
+    (vec_gen Gen.char) (fun (a, r1, r2) ->
+      let n = Array.length a in
+      let b = Bytes.init n (Array.get a) in
+      let pos, mid = pos_split n r1 r2 in
+      let t = Crc64.feed_bytes Crc64.init b ~pos ~len:(mid - pos) in
+      let t = Crc64.feed_bytes t b ~pos:mid ~len:(n - mid) in
+      Crc64.equal (Crc64.digest t) (crc64_ref (Bytes.sub b pos (n - pos))))
+
 (* What an int32 section's checksum covers: every byte, bit 31 of each
    element included, from any starting element (even or odd counts
    leave a tail of one element). *)
 let test_crc64_i32_vs_bytes =
-  S.qcheck_case ~count:500 "feed_i32vec = feed_bytes over the LE bytes"
-    Gen.(pair (array_size (int_bound 9) int32) nat)
-    (fun (a, r) ->
+  S.qcheck_case ~count:300 "feed_i32vec = feed_bytes over the LE bytes"
+    (vec_gen Gen.int32) (fun (a, r1, r2) ->
       let n = Array.length a in
-      let pos = if n = 0 then 0 else r mod (n + 1) in
+      let pos, mid = pos_split n r1 r2 in
       let v = Bigarray.Array1.of_array Bigarray.int32 Bigarray.c_layout a in
       let b = Bytes.create (4 * n) in
       Array.iteri (fun i x -> Bytes.set_int32_le b (4 * i) x) a;
-      Crc64.equal
-        (Crc64.digest (Crc64.feed_i32vec Crc64.init v ~pos ~len:(n - pos)))
-        (Crc64.digest
-           (Crc64.feed_bytes Crc64.init b ~pos:(4 * pos) ~len:(4 * (n - pos)))))
+      let t = Crc64.feed_i32vec Crc64.init v ~pos ~len:(mid - pos) in
+      let t = Crc64.feed_i32vec t v ~pos:mid ~len:(n - mid) in
+      let bytes = Bytes.sub b (4 * pos) (4 * (n - pos)) in
+      Crc64.equal (Crc64.digest t) (crc64_ref bytes)
+      && Crc64.equal (Crc64.digest t)
+           (Crc64.digest
+              (Crc64.feed_bytes Crc64.init bytes ~pos:0 ~len:(Bytes.length bytes))))
+
+(* What a word section's checksum covers: each int's full 63-bit value,
+   sign bit (bit 62) included, as eight little-endian bytes with bit 63
+   clear, over negative values and both extremes. *)
+let test_crc64_ivec_vs_ref =
+  S.qcheck_case ~count:300 "feed_ivec = bitwise CRC-64/XZ of the 63-bit values"
+    (vec_gen
+       Gen.(
+         oneof
+           [ int; map (fun x -> -x - 1) nat; oneofl [ min_int; max_int; -1; 0 ] ]))
+    (fun (a, r1, r2) ->
+      let n = Array.length a in
+      let pos, mid = pos_split n r1 r2 in
+      let v = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout a in
+      let b = Bytes.create (8 * (n - pos)) in
+      for i = pos to n - 1 do
+        Bytes.set_int64_le b (8 * (i - pos))
+          (Int64.logand (Int64.of_int a.(i)) Int64.max_int)
+      done;
+      let t = Crc64.feed_ivec Crc64.init v ~pos ~len:(mid - pos) in
+      let t = Crc64.feed_ivec t v ~pos:mid ~len:(n - mid) in
+      Crc64.equal (Crc64.digest t) (crc64_ref b))
+
+let test_crc64_bounds () =
+  let v = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 4 in
+  List.iter
+    (fun (pos, len) ->
+      S.check_bool
+        (Printf.sprintf "pos %d len %d refused" pos len)
+        true
+        (match Crc64.feed_ivec Crc64.init v ~pos ~len with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (-1, 1); (0, 5); (4, 1); (0, -1); (2, max_int) ]
+
+(* The section CRCs of one small built artifact (mm4, signed 2-bit
+   entries, the race spec above), pinned: whichever native path
+   computes them, every stored checksum stays what earlier builds wrote
+   and what stored artifacts carry. *)
+let golden_mm4_sections =
+  [
+    ("pool_wires", 4, 86824, "cc5a2283d4f4be47");
+    ("g_threshold", 8, 26032, "7f837988435827d5");
+    ("g_wire", 4, 26032, "7776633d8747e80a");
+    ("seg_off", 8, 4240, "ecad6238f1601884");
+    ("seg_fan", 8, 4240, "1d9e353f83efcc23");
+    ("seg_gates", 8, 4241, "d8226cf0c2be8eee");
+    ("seg_grp", 8, 4241, "b4694de4c74edbaa");
+    ("grp_off", 8, 6941, "e0a78e6b88ed39d9");
+    ("grp_weight", 8, 6940, "ca8a4544577ad516");
+    ("level_segs", 8, 6, "2756ae3144b62f8d");
+    ("outputs", 8, 344, "7e6da5315f5f5e6a");
+    ("kern_table", 8, 2320, "2d087cfbe1687272");
+    ("kern_index", 8, 4240, "a8c7cc702f9949ea");
+  ]
+
+let test_crc64_golden_sections () =
+  S.with_temp_dir @@ fun dir ->
+  let store =
+    match St.create ~dir () with Ok s -> s | Error m -> Alcotest.fail m
+  in
+  let cache = Sv.Circuit_cache.create ~store ~capacity:1 () in
+  (match Sv.Circuit_cache.find_or_build cache race_spec with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  match St.list store with
+  | [ (_, Ok (h, _)) ] ->
+      let got =
+        List.map
+          (fun s -> (s.A.s_name, s.A.s_width, s.A.s_len, Crc64.to_hex s.A.s_crc))
+          h.A.h_sections
+      in
+      List.iter2
+        (fun (name, w, len, crc) (name', w', len', crc') ->
+          Alcotest.(check string) "section" name name';
+          Alcotest.(check (triple int int string))
+            (name ^ " width, length, CRC-64") (w, len, crc) (w', len', crc'))
+        golden_mm4_sections got
+  | l -> Alcotest.failf "expected one stored artifact, found %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* Round-trip identity                                                *)
@@ -831,6 +953,12 @@ let () =
           Alcotest.test_case "check vector" `Quick test_crc64_check_vector;
           test_crc64_word_vs_bytes;
           test_crc64_i32_vs_bytes;
+          test_crc64_bytes_vs_ref;
+          test_crc64_ivec_vs_ref;
+          Alcotest.test_case "out-of-range feeds refused" `Quick
+            test_crc64_bounds;
+          Alcotest.test_case "golden section CRCs (mm4 signed 2-bit)" `Quick
+            test_crc64_golden_sections;
         ] );
       ( "round-trip",
         [

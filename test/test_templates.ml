@@ -243,6 +243,117 @@ let test_kernel_differential () =
       (Instances.strassen_squared, [ 4; 16 ]);
     ]
 
+(* Kernel-grade CSR: lowering with kernels sorts each weight group of
+   at least 16 edges by wire id, in place, in C.  Against the unsorted
+   [~kernels:false] lowering of the same arena, each such group must
+   come out ascending and hold the same wires (duplicates included),
+   every shorter group must be untouched, and both packings must answer
+   alike.  [cover] tallies the slice shapes met: lengths 16 and 17,
+   duplicate wires, already-ascending and descending slices. *)
+let check_groups_sorted label arena cover =
+  let p_k = Packed.of_arena arena and p_g = Packed.of_arena ~kernels:false arena in
+  let sk = Packed.save p_k and sg = Packed.save p_g in
+  Alcotest.(check (array int))
+    (label ^ ": same weight groups")
+    sg.Packed.sec_grp_off sk.Packed.sec_grp_off;
+  let slice (s : Packed.sections) a0 len =
+    Array.init len (fun i ->
+        Int32.to_int (Bigarray.Array1.get s.Packed.sec_pool_wires (a0 + i)))
+  in
+  let off = sk.Packed.sec_grp_off in
+  for g = 0 to Array.length off - 2 do
+    let a0 = off.(g) and len = off.(g + 1) - off.(g) in
+    let k = slice sk a0 len and raw = slice sg a0 len in
+    if len < 16 then begin
+      if k <> raw then Alcotest.failf "%s: group %d (%d edges) reordered" label g len
+    end
+    else begin
+      let sorted = Array.copy raw in
+      Array.sort compare sorted;
+      if k <> sorted then
+        Alcotest.failf "%s: group %d (%d edges) is not its wires ascending"
+          label g len;
+      let has_dup = ref false in
+      for i = 1 to len - 1 do
+        if sorted.(i) = sorted.(i - 1) then has_dup := true
+      done;
+      List.iter
+        (fun (shape, hit) -> if hit then Hashtbl.replace cover shape ())
+        [
+          ("length 16", len = 16);
+          ("length 17", len = 17);
+          ("duplicate wires", !has_dup);
+          ("ascending", raw = sorted);
+          ("descending", raw = Array.init len (fun i -> sorted.(len - 1 - i)));
+        ]
+    end
+  done;
+  let rng = Prng.create ~seed:24 in
+  let batch =
+    Array.init 8 (fun _ ->
+        Array.init sk.Packed.sec_num_inputs (fun _ -> Prng.bool rng))
+  in
+  let bk = Packed.run_batch p_k batch and bg = Packed.run_batch p_g batch in
+  for lane = 0 to 7 do
+    Alcotest.(check bool)
+      (label ^ ": sorted and unsorted packings agree")
+      true
+      (Packed.batch_outputs bk ~lane = Packed.batch_outputs bg ~lane
+      && Packed.batch_firings bk ~lane = Packed.batch_firings bg ~lane)
+  done
+
+(* Gates whose weight groups have the shapes the served specs lack:
+   17 edges descending, 16 with duplicate wires, 600 descending and 500
+   drawn from 20 wires (the quicksort path), a 600-edge organ pipe
+   (median-of-3 pivots split it badly, so the heap-sort fallback
+   finishes it), and two interleaved groups split out of one gate. *)
+let hand_built_groups () =
+  let b = Builder.create ~mode:Builder.Direct () in
+  let ins = Builder.add_inputs b 600 in
+  let rng = Prng.create ~seed:17 in
+  let gate wires weights =
+    Builder.output b
+      (Builder.add_gate b ~inputs:(Array.map (Array.get ins) wires) ~weights
+         ~threshold:(Array.length wires / 3))
+  in
+  let ones n = Array.make n 1 in
+  gate (Array.init 17 (fun i -> 100 - (3 * i))) (ones 17);
+  gate (Array.init 16 (fun i -> [| 9; 2; 9; 5 |].(i mod 4) + i)) (ones 16);
+  gate (Array.init 16 (fun i -> 2 * i)) (ones 16);
+  gate (Array.init 600 (fun i -> 599 - i)) (ones 600);
+  gate (Array.init 500 (fun _ -> Prng.int rng ~bound:20)) (Array.make 500 2);
+  gate (Array.init 600 (fun i -> if i < 300 then i else 599 - i)) (Array.make 600 3);
+  gate
+    (Array.init 40 (fun _ -> Prng.int rng ~bound:600))
+    (Array.init 40 (fun i -> if i mod 2 = 0 then 1 else -1));
+  Builder.arena b
+
+let test_groups_sorted () =
+  let cover = Hashtbl.create 8 in
+  let matmul label ~algo ~n ~entry_bits ~signed =
+    let schedule = Level_schedule.resolve ~algo ~name:"thm45" ~d:2 ~n in
+    let built =
+      Matmul_circuit.build ~mode:Builder.Direct ~algo ~schedule
+        ~signed_inputs:signed ~entry_bits ~n ()
+    in
+    check_groups_sorted label (Builder.arena built.Matmul_circuit.builder) cover
+  in
+  matmul "mm4 signed" ~algo:strassen ~n:4 ~entry_bits:2 ~signed:true;
+  matmul "mm8 winograd" ~algo:Instances.winograd ~n:8 ~entry_bits:1 ~signed:false;
+  (* conv8 serves the n=8 Strassen matmul circuit on signed 2-bit
+     entries. *)
+  matmul "conv8" ~algo:strassen ~n:8 ~entry_bits:2 ~signed:true;
+  let trace =
+    Trace_circuit.build ~mode:Builder.Direct ~algo:strassen
+      ~schedule:(schedule ~name:"thm45" ~n:8) ~entry_bits:1 ~tau:6 ~n:8 ()
+  in
+  check_groups_sorted "trace8" (Builder.arena trace.Trace_circuit.builder) cover;
+  check_groups_sorted "hand-built" (hand_built_groups ()) cover;
+  List.iter
+    (fun shape ->
+      Alcotest.(check bool) ("covers " ^ shape) true (Hashtbl.mem cover shape))
+    [ "length 16"; "length 17"; "duplicate wires"; "ascending"; "descending" ]
+
 (* The E19 certifier checks template-built circuits (templates are the
    construction default) against the counting DP, the depth model and
    the theorem bounds. *)
@@ -309,5 +420,7 @@ let () =
             test_kernel_differential;
           Alcotest.test_case "certifier" `Quick test_certifier_over_templates;
           Alcotest.test_case "fuzzer" `Quick test_fuzzer_over_templates;
+          Alcotest.test_case "weight groups sorted when lowering" `Quick
+            test_groups_sorted;
         ] );
     ]

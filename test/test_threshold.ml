@@ -1323,6 +1323,55 @@ let test_packed_load_rejects_hostile_sections () =
   refused "wire count past 2^31"
     { z with Packed.sec_num_inputs = (1 lsl 31) + 1 }
 
+(* The load-time wire scan runs in blocks: an out-of-range id is named
+   by its own index wherever it sits, at a block's first or last slot or
+   in the unblocked tail, for ids past either end of the wire range. *)
+let test_packed_load_names_any_bad_wire () =
+  let b = Builder.create () in
+  let ins = Builder.add_inputs b 3000 in
+  let ones = Array.make 3000 1 in
+  let l1 = Builder.add_shared_gates b ~inputs:ins ~weights:ones ~thresholds:[| 1; 2 |] in
+  let l2 =
+    Builder.add_shared_gates b ~inputs:(Array.append l1 ins)
+      ~weights:(Array.make 3002 1) ~thresholds:[| 3 |]
+  in
+  Array.iter (Builder.output b) l2;
+  let s = Packed.save (Packed.of_circuit (Builder.finalize b)) in
+  let nedges = s.Packed.sec_grp_off.(Array.length s.Packed.sec_grp_off - 1) in
+  let num_wires = s.Packed.sec_num_inputs + s.Packed.sec_num_gates in
+  S.check_int "pool edges" 6002 nedges;
+  let with_wire v i w =
+    let v' = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (Bigarray.Array1.dim v) in
+    Bigarray.Array1.blit v v';
+    v'.{i} <- w;
+    v'
+  in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun w ->
+          let label = Printf.sprintf "edge %d reading %ld" e w in
+          match
+            Packed.load
+              { s with Packed.sec_pool_wires = with_wire s.Packed.sec_pool_wires e w }
+          with
+          | Error m ->
+              Alcotest.(check string) label
+                (Printf.sprintf "edge %d reads out-of-range wire" e) m
+          | Ok _ -> Alcotest.failf "%s: loaded" label)
+        [ -1l; Int32.of_int num_wires; Int32.max_int; Int32.min_int ])
+    [ 0; 1; 1023; 1024; 2047; 4096; 5000; nedges - 1 ];
+  (* Gate wire ids must also sit above the inputs. *)
+  List.iter
+    (fun (g, w) ->
+      match
+        Packed.load { s with Packed.sec_g_wire = with_wire s.Packed.sec_g_wire g w }
+      with
+      | Error m ->
+          Alcotest.(check string) "gate wire" (Printf.sprintf "gate %d writes out-of-range wire" g) m
+      | Ok _ -> Alcotest.failf "gate %d writing %ld: loaded" g w)
+    [ (0, 2999l); (2, Int32.of_int num_wires); (1, -1l) ]
+
 (* The drivers memoize their compiled form on the built value: a
    Materialize build is compiled once by [Packed.of_circuit], and every
    later [pack] or packed run reuses it. *)
@@ -1479,5 +1528,7 @@ let () =
             test_packed_session_deep_chain;
           Alcotest.test_case "session segment past 65,536 gates" `Quick
             test_packed_session_wide_segment;
+          Alcotest.test_case "load names any out-of-range wire" `Quick
+            test_packed_load_names_any_bad_wire;
         ] );
     ]
