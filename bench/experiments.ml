@@ -633,26 +633,23 @@ let e13 () =
               T.Trace_circuit.build ~algo:strassen ~schedule ~entry_bits:1
                 ~tau:(3 * n) ~n ()
             in
-            match built.T.Trace_circuit.circuit with
-            | None -> []
-            | Some c ->
-                let g = G.Generate.erdos_renyi rng ~n ~p:0.4 in
-                let input =
-                  T.Trace_circuit.encode_input built (G.Graph.adjacency g)
-                in
-                let ticks, out = Tcmm_threshold.Spiking.settle c input in
-                let reference = Tcmm_threshold.Simulator.read_outputs c input in
-                [
-                  Tb.Int n;
-                  Tb.Int d;
-                  Tb.Int (T.Trace_circuit.stats built).Stats.depth;
-                  Tb.Int ticks;
-                  Tb.Str (if out = reference then "agrees" else "DISAGREES");
-                ])
+            let c = T.Trace_circuit.circuit built in
+            let g = G.Generate.erdos_renyi rng ~n ~p:0.4 in
+            let input =
+              T.Trace_circuit.encode_input built (G.Graph.adjacency g)
+            in
+            let ticks, out = Tcmm_threshold.Spiking.settle c input in
+            let reference = Tcmm_threshold.Simulator.read_outputs c input in
+            [
+              Tb.Int n;
+              Tb.Int d;
+              Tb.Int (T.Trace_circuit.stats built).Stats.depth;
+              Tb.Int ticks;
+              Tb.Str (if out = reference then "agrees" else "DISAGREES");
+            ])
           [ 1; 2; 3 ])
       [ 8; 16 ]
   in
-  let rows = List.filter (fun r -> r <> []) rows in
   Tb.print
     ~title:
       "synchronous per-tick neuron updates (TrueNorth-style): ticks to fixed point vs \
@@ -757,23 +754,23 @@ let e9 () =
                 T.Trace_circuit.build ~algo:strassen ~schedule ~entry_bits:1
                   ~tau:(n * n) ~n ()
               in
-              match built.T.Trace_circuit.circuit with
-              | None -> None
-              | Some c ->
-                  let inputs =
-                    List.init 20 (fun _ ->
-                        let g = G.Generate.erdos_renyi rng ~n ~p:0.4 in
-                        T.Trace_circuit.encode_input built (G.Graph.adjacency g))
-                  in
-                  let e = Tcmm_threshold.Energy.measure c inputs in
-                  Some
-                    [
-                      Tb.Int n;
-                      Tb.Int d;
-                      Tb.Int e.Tcmm_threshold.Energy.gates;
-                      Tb.Float e.Tcmm_threshold.Energy.mean_firings;
-                      Tb.Float (Tcmm_threshold.Energy.firing_fraction e);
-                    ]
+              let inputs =
+                List.init 20 (fun _ ->
+                    let g = G.Generate.erdos_renyi rng ~n ~p:0.4 in
+                    T.Trace_circuit.encode_input built (G.Graph.adjacency g))
+              in
+              let e =
+                Tcmm_threshold.Energy.measure (T.Trace_circuit.circuit built)
+                  inputs
+              in
+              Some
+                [
+                  Tb.Int n;
+                  Tb.Int d;
+                  Tb.Int e.Tcmm_threshold.Energy.gates;
+                  Tb.Float e.Tcmm_threshold.Energy.mean_firings;
+                  Tb.Float (Tcmm_threshold.Energy.firing_fraction e);
+                ]
             end)
           [ 1; 2; 3 ])
       [ 8; 16 ]
@@ -785,28 +782,27 @@ let e9 () =
 
 (* ------------------------------------------------------------------ *)
 
-(* E20: construction wall-time.  Three build paths for the same circuit:
-     legacy   — gate-by-gate builder, then the per-gate
-                Packed.of_circuit walk;
-     stamped  — hash-consed block templates stamped by offset
-                arithmetic, still materializing a Circuit.t;
-     direct   — stamped arena lowered straight to the packed CSR form
-                (Packed.of_arena), no Circuit.t ever built.
-   Every leg is checked gate-for-gate against the counting DP, and the
+(* E20: construction wall-time.  Two builds of the same circuit, both
+   lowered by Packed.of_arena:
+     legacy  — gate-by-gate builder (templates off): every block's
+               constructor runs again at every occurrence;
+     direct  — hash-consed block templates stamped by offset arithmetic,
+               each template's lowering plan replayed per instance.
+   Every leg is checked gate-for-gate against the counting DP, the
+   direct leg's stats against the legacy leg's field by field, and the
    direct build is evaluated end-to-end against integer references (the
    N=32 certificate the acceptance criteria ask for).  Results land in
    BENCH_build.json. *)
 
 type e20_built = {
   eb_builder : Builder.t;
-  eb_circuit : Tcmm_threshold.Circuit.t option;
   eb_eval : unit -> bool;  (* end-to-end run vs the integer reference *)
 }
 
 let e20 ?(ns = [ 8; 16; 32 ]) () =
   Bench_util.header
-    "E20: construction wall-time (legacy builder vs template stamping vs \
-     direct-to-CSR)";
+    "E20: construction wall-time (legacy builder vs template stamping, both \
+     lowered straight to CSR)";
   let module Th = Tcmm_threshold in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -825,52 +821,33 @@ let e20 ?(ns = [ 8; 16; 32 ]) () =
   let run_family ~family ~expect ~build n =
     let schedule = T.Level_schedule.theorem45 ~profile ~d:2 ~n in
     let expect = expect ~schedule ~n in
-    (* The two Materialize legs are skipped at N=32: [Circuit.make] and
-       [Packed.of_circuit] are O(logical edges) — the very cost the
-       direct path exists to avoid (tens of minutes of wall clock
-       there). *)
-    let heavy = n >= 32 in
+    (* The legacy leg is skipped at N=32: it re-runs every block's
+       constructor and keeps a record per gate (9.7M for matmul), the
+       time and memory templates exist to save. *)
     let legacy =
-      if heavy then None
+      if n >= 32 then None
       else begin
-        let b, t_build =
-          time (fun () ->
-              build ~mode:Builder.Materialize ~templates:false ~schedule ~n)
-        in
+        let b, t_build = time (fun () -> build ~templates:false ~schedule ~n) in
         check (family ^ " legacy") n expect (Builder.stats b.eb_builder);
         let _p, t_pack =
-          time (fun () -> Th.Packed.of_circuit (Option.get b.eb_circuit))
+          time (fun () -> Th.Packed.of_arena (Builder.arena b.eb_builder))
         in
         Some (Builder.stats b.eb_builder, t_build, t_pack)
       end
     in
-    (* Stamped leg: template cache on, still materializing a Circuit.t. *)
-    let stamped =
-      if heavy then None
-      else begin
-        let st_b, t_stamp_build =
-          time (fun () ->
-              build ~mode:Builder.Materialize ~templates:true ~schedule ~n)
-        in
-        check (family ^ " stamped") n expect (Builder.stats st_b.eb_builder);
-        (match legacy with
-        | Some (legacy_stats, _, _)
-          when Builder.stats st_b.eb_builder <> legacy_stats ->
-            failwith
-              (Printf.sprintf "e20 %s N=%d: stamped stats diverge from legacy"
-                 family n)
-        | _ -> ());
-        let _p, t_stamp_pack =
-          time (fun () -> Th.Packed.of_circuit (Option.get st_b.eb_circuit))
-        in
-        Some (t_stamp_build, t_stamp_pack)
-      end
-    in
+    Gc.compact ();
     (* Direct leg: stamped arena lowered straight to CSR. *)
     let d_b, t_direct_build =
-      time (fun () -> build ~mode:Builder.Direct ~templates:true ~schedule ~n)
+      time (fun () -> build ~templates:true ~schedule ~n)
     in
     check (family ^ " direct") n expect (Builder.stats d_b.eb_builder);
+    (match legacy with
+    | Some (legacy_stats, _, _)
+      when Builder.stats d_b.eb_builder <> legacy_stats ->
+        failwith
+          (Printf.sprintf "e20 %s N=%d: direct stats diverge from legacy"
+             family n)
+    | _ -> ());
     let arena = Builder.arena d_b.eb_builder in
     let _p, t_direct_lower = time (fun () -> Th.Packed.of_arena arena) in
     Gc.compact ();
@@ -896,15 +873,10 @@ let e20 ?(ns = [ 8; 16; 32 ]) () =
     (match legacy with
     | Some (_, b, p) -> leg_row "legacy" b p (Tb.Str "1.0x")
     | None -> ());
-    let speedup t =
-      match legacy_total with
-      | Some lt -> Tb.Str (Printf.sprintf "%.1fx" (lt /. t))
-      | None -> Tb.Str "-"
-    in
-    (match stamped with
-    | Some (b, p) -> leg_row "stamped" b p (speedup (b +. p))
-    | None -> ());
-    leg_row "direct" t_direct_build t_direct_lower (speedup direct_total);
+    leg_row "direct" t_direct_build t_direct_lower
+      (match legacy_total with
+      | Some lt -> Tb.Str (Printf.sprintf "%.1fx" (lt /. direct_total))
+      | None -> Tb.Str "-");
     Bench_util.record ~experiment:"e20"
       ([
          ("circuit", Bench_util.Str family);
@@ -912,15 +884,6 @@ let e20 ?(ns = [ 8; 16; 32 ]) () =
          ("gates", Bench_util.Int stats.Stats.gates);
          ("edges", Bench_util.Int stats.Stats.edges);
          ("legacy_skipped", Bench_util.Bool (legacy = None));
-       ]
-      @ (match stamped with
-        | None -> []
-        | Some (b, p) ->
-            [
-              ("stamped_build_seconds", Bench_util.Float b);
-              ("stamped_pack_seconds", Bench_util.Float p);
-            ])
-      @ [
          ("direct_build_seconds", Bench_util.Float t_direct_build);
          ("direct_lower_seconds", Bench_util.Float t_direct_lower);
          ("direct_total_seconds", Bench_util.Float direct_total);
@@ -948,14 +911,13 @@ let e20 ?(ns = [ 8; 16; 32 ]) () =
           T.Gate_count_matmul.matmul ~algo:strassen ~schedule ~entry_bits:1 ~n ()
         in
         (c.T.Gate_count.gates, c.T.Gate_count.edges))
-      ~build:(fun ~mode ~templates ~schedule ~n ->
+      ~build:(fun ~templates ~schedule ~n ->
         let built =
-          T.Matmul_circuit.build ~mode ~templates ~algo:strassen ~schedule
+          T.Matmul_circuit.build ~templates ~algo:strassen ~schedule
             ~entry_bits:1 ~n ()
         in
         {
           eb_builder = built.T.Matmul_circuit.builder;
-          eb_circuit = built.T.Matmul_circuit.circuit;
           eb_eval =
             (fun () ->
               let a = F.Matrix.random rng ~rows:n ~cols:n ~lo:0 ~hi:1 in
@@ -970,14 +932,13 @@ let e20 ?(ns = [ 8; 16; 32 ]) () =
       ~expect:(fun ~schedule ~n ->
         let c = T.Gate_count.trace ~algo:strassen ~schedule ~entry_bits:1 ~n () in
         (c.T.Gate_count.gates, c.T.Gate_count.edges))
-      ~build:(fun ~mode ~templates ~schedule ~n ->
+      ~build:(fun ~templates ~schedule ~n ->
         let built =
-          T.Trace_circuit.build ~mode ~templates ~algo:strassen ~schedule
+          T.Trace_circuit.build ~templates ~algo:strassen ~schedule
             ~entry_bits:1 ~tau:(n * n) ~n ()
         in
         {
           eb_builder = built.T.Trace_circuit.builder;
-          eb_circuit = built.T.Trace_circuit.circuit;
           eb_eval =
             (fun () ->
               let m = F.Matrix.random rng ~rows:n ~cols:n ~lo:0 ~hi:1 in

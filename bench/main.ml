@@ -174,8 +174,7 @@ let e17 () =
         T.Matmul_circuit.encode_inputs mm ~a ~b)
   in
   bench_circuit ~label:"matmul N=16 d=2 (Theorem 4.9)"
-    (Option.get mm.T.Matmul_circuit.circuit)
-    mm_inputs;
+    (T.Matmul_circuit.circuit mm) mm_inputs;
   let tr = Lazy.force shared_tr16 in
   let tr_inputs =
     Array.init batch_size (fun _ ->
@@ -183,8 +182,7 @@ let e17 () =
           (F.Matrix.random rng ~rows:16 ~cols:16 ~lo:0 ~hi:1))
   in
   bench_circuit ~label:"trace N=16 d=2 (Theorem 4.5)"
-    (Option.get tr.T.Trace_circuit.circuit)
-    tr_inputs
+    (T.Trace_circuit.circuit tr) tr_inputs
 
 (* E18: serving throughput — the same request stream one-at-a-time vs
    pipelined through the daemon's coalescing batcher.  Forks a real
@@ -580,8 +578,8 @@ let e23 ?(ns = [ 16; 32 ]) () =
       let sched = T.Level_schedule.theorem45 ~profile ~d:2 ~n in
       let built, t_build =
         time (fun () ->
-            T.Matmul_circuit.build ~mode:Th.Builder.Direct
-              ~algo:F.Instances.strassen ~schedule:sched ~entry_bits:1 ~n ())
+            T.Matmul_circuit.build ~algo:F.Instances.strassen ~schedule:sched
+              ~entry_bits:1 ~n ())
       in
       let arena = Th.Builder.arena built.T.Matmul_circuit.builder in
       let p_kern, t_lower = time (fun () -> Th.Packed.of_arena ~kernels:true arena) in
@@ -725,9 +723,8 @@ let e24 ?(ns = [ 8; 16; 32 ]) () =
         let (built, packed), t_cold =
           time (fun () ->
               let built =
-                T.Matmul_circuit.build ~mode:Th.Builder.Direct
-                  ~algo:F.Instances.strassen ~schedule:sched ~entry_bits:1 ~n
-                  ()
+                T.Matmul_circuit.build ~algo:F.Instances.strassen
+                  ~schedule:sched ~entry_bits:1 ~n ()
               in
               (built, T.Matmul_circuit.pack built))
         in
@@ -1093,11 +1090,11 @@ let e26 ?(updates = 32) ?(verify_updates = 12)
     done;
     (r, !tmin)
   in
-  (* A Direct build of its own, as the server makes one: [shared_tr16]
-     is materialized, and its packed form dispatches no kernels. *)
+  (* A build of its own, as the server makes one, so [t_pack] times a
+     fresh lowering. *)
   let built =
-    T.Trace_circuit.build ~mode:Th.Builder.Direct ~algo:F.Instances.strassen
-      ~schedule:sched16 ~entry_bits:1 ~tau:100 ~n ()
+    T.Trace_circuit.build ~algo:F.Instances.strassen ~schedule:sched16
+      ~entry_bits:1 ~tau:100 ~n ()
   in
   let packed, t_pack = time (fun () -> T.Trace_circuit.pack built) in
   let layout = built.T.Trace_circuit.layout in
@@ -1296,11 +1293,7 @@ let e27 ?(entry_bits = 6) ?(d = 2)
   let rows =
     List.concat_map
       (fun (name, ns) ->
-        let algo =
-          List.find
-            (fun a -> a.F.Bilinear.name = name)
-            (F.Instances.all ())
-        in
+        let algo = Result.get_ok (F.Instances.find name) in
         let prof = F.Sparsity.analyze algo in
         let gamma = prof.F.Sparsity.overall.F.Sparsity.gamma in
         let gamma_d = Float.pow gamma (float_of_int d) in

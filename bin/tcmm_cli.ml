@@ -18,17 +18,8 @@ module T = Tcmm
 module Tb = Tcmm_util.Tablefmt
 module P = Tcmm_server.Protocol
 
-let algo_by_name name =
-  let all = F.Instances.all () in
-  match List.find_opt (fun a -> a.F.Bilinear.name = name) all with
-  | Some a -> Ok a
-  | None ->
-      Error
-        (Printf.sprintf "unknown algorithm %S (try: %s)" name
-           (String.concat ", " (List.map (fun a -> a.F.Bilinear.name) all)))
-
 let algo_arg =
-  let parse s = match algo_by_name s with Ok a -> Ok a | Error e -> Error (`Msg e) in
+  let parse s = Result.map_error (fun e -> `Msg e) (F.Instances.find s) in
   let print ppf a = Format.fprintf ppf "%s" a.F.Bilinear.name in
   Arg.conv (parse, print)
 
@@ -154,9 +145,8 @@ let stats_cmd =
 
 let verify_cmd =
   let run algo n d bits sched seed engine profile profile_eval =
-    (* The build goes straight to the packed CSR form (Direct mode); the
-       reference engine interprets the lazily materialized circuit. *)
-    let mode = Tcmm_threshold.Builder.Direct in
+    (* The build goes straight to the packed CSR form; the reference
+       engine interprets the per-gate circuit the builder expands. *)
     let profile_phases name builder ~construct ~lower =
       if profile then begin
         let ts = Tcmm_threshold.Builder.template_stats builder in
@@ -177,7 +167,7 @@ let verify_cmd =
       algo.F.Bilinear.name T.Level_schedule.pp schedule;
     let t0 = Unix.gettimeofday () in
     let built =
-      T.Matmul_circuit.build ~mode ~algo ~schedule ~signed_inputs:true
+      T.Matmul_circuit.build ~algo ~schedule ~signed_inputs:true
         ~entry_bits:bits ~n ()
     in
     let t1 = Unix.gettimeofday () in
@@ -243,7 +233,7 @@ let verify_cmd =
     let expect = T.Trace_circuit.reference m in
     let t0 = Unix.gettimeofday () in
     let trace =
-      T.Trace_circuit.build ~mode ~algo ~schedule ~entry_bits:bits ~tau:expect
+      T.Trace_circuit.build ~algo ~schedule ~entry_bits:bits ~tau:expect
         ~n ()
     in
     let t1 = Unix.gettimeofday () in
@@ -506,19 +496,17 @@ let export_cmd =
     let built =
       T.Trace_circuit.build ~algo ~schedule ~entry_bits:bits ~tau:1 ~n ()
     in
-    match built.T.Trace_circuit.circuit with
-    | None -> 1
-    | Some c ->
-        let contents =
-          match kind with
-          | "netlist" -> Tcmm_threshold.Export.to_netlist c
-          | "dot" -> Tcmm_threshold.Export.to_dot ~max_gates:100000 c
-          | k -> failwith (Printf.sprintf "unknown format %S (netlist|dot)" k)
-        in
-        Tcmm_threshold.Export.write_file path contents;
-        Format.printf "wrote %s (%s, %s)@." path kind
-          (Tcmm_threshold.Stats.to_row (T.Trace_circuit.stats built));
-        0
+    let c = T.Trace_circuit.circuit built in
+    let contents =
+      match kind with
+      | "netlist" -> Tcmm_threshold.Export.to_netlist c
+      | "dot" -> Tcmm_threshold.Export.to_dot ~max_gates:100000 c
+      | k -> failwith (Printf.sprintf "unknown format %S (netlist|dot)" k)
+    in
+    Tcmm_threshold.Export.write_file path contents;
+    Format.printf "wrote %s (%s, %s)@." path kind
+      (Tcmm_threshold.Stats.to_row (T.Trace_circuit.stats built));
+    0
   in
   let kind_term =
     Arg.(value & opt string "netlist" & info [ "f"; "format" ] ~docv:"FMT" ~doc:"netlist or dot.")
@@ -1067,7 +1055,7 @@ let check_cmd =
   let run cases incremental_cases mutants seed skip_server corpus algo json_path
       =
     (match algo with
-    | Some a when Result.is_error (algo_by_name a) ->
+    | Some a when Result.is_error (F.Instances.find a) ->
         Format.eprintf "tcmm check: unknown algorithm %S@." a;
         exit 2
     | _ -> ());

@@ -32,7 +32,7 @@ let () =
     T.Trace_circuit.build ~algo:F.Instances.strassen ~schedule ~entry_bits:1
       ~tau:(6 * triangles) ~n ()
   in
-  let circuit = Option.get built.T.Trace_circuit.circuit in
+  let circuit = T.Trace_circuit.circuit built in
   Format.printf "Circuit: %s@." (Th.Stats.to_row (Th.Circuit.stats circuit));
 
   (* Serialize and reload — the netlist is the hardware hand-off format. *)

@@ -70,7 +70,7 @@ let () =
     T.Trace_circuit.build_with_value ~algo:F.Instances.strassen ~schedule
       ~entry_bits:1 ~tau:0 ~n ()
   in
-  let circuit = Option.get built.T.Trace_circuit.circuit in
+  let circuit = T.Trace_circuit.circuit built in
   let r =
     Tcmm_threshold.Simulator.run circuit (T.Trace_circuit.encode_input built adj)
   in

@@ -80,11 +80,7 @@ let build_key c =
     (match c.kind with Trace -> c.tau | Matmul | Conv -> 0)
 
 let algo_of_name name =
-  match
-    List.find_opt (fun a -> a.F.Bilinear.name = name) (F.Instances.all ())
-  with
-  | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "Case.algo_of_name: unknown algorithm %S" name)
+  match F.Instances.find name with Ok a -> a | Error msg -> invalid_arg msg
 
 let resolve_schedule c =
   Tcmm.Level_schedule.resolve ~algo:(algo_of_name c.algo) ~name:c.schedule ~d:c.d

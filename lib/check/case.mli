@@ -49,7 +49,8 @@ val build_key : t -> string
     (everything but [seed]) — the oracle memoizes builds on this. *)
 
 val algo_of_name : string -> Tcmm_fastmm.Bilinear.t
-(** Raises [Invalid_argument] on an unknown name. *)
+(** {!Tcmm_fastmm.Instances.find}, raising [Invalid_argument] on an
+    unknown name. *)
 
 val resolve_schedule : t -> Tcmm.Level_schedule.t
 

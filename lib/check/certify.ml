@@ -180,7 +180,7 @@ let certify ?(samples = 4) ?(seed = 7) ?(materialize_cap = 150_000) spec =
           ~signed_inputs:spec.signed ~n:spec.n ()
   in
   let materialized = dp.T.Gate_count.gates <= materialize_cap in
-  let mode = if materialized then Th.Builder.Materialize else Th.Builder.Count_only in
+  let mode = if materialized then Th.Builder.Direct else Th.Builder.Count_only in
   let stats, circuit, encode =
     match spec.kind with
     | Case.Trace ->
@@ -189,7 +189,7 @@ let certify ?(samples = 4) ?(seed = 7) ?(materialize_cap = 150_000) spec =
             ~entry_bits:spec.entry_bits ~tau:spec.tau ~n:spec.n ()
         in
         ( T.Trace_circuit.stats built,
-          built.T.Trace_circuit.circuit,
+          (if materialized then Some (T.Trace_circuit.circuit built) else None),
           fun rng ->
             T.Trace_circuit.encode_input built
               (random_matrix rng ~n:spec.n ~entry_bits:spec.entry_bits
@@ -200,7 +200,7 @@ let certify ?(samples = 4) ?(seed = 7) ?(materialize_cap = 150_000) spec =
             ~entry_bits:spec.entry_bits ~n:spec.n ()
         in
         ( T.Matmul_circuit.stats built,
-          built.T.Matmul_circuit.circuit,
+          (if materialized then Some (T.Matmul_circuit.circuit built) else None),
           fun rng ->
             let a =
               random_matrix rng ~n:spec.n ~entry_bits:spec.entry_bits

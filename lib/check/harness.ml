@@ -129,7 +129,7 @@ let subject_circuit_and_inputs (c : Case.t) =
   match c.kind with
   | Case.Trace ->
       let built = Oracle.trace_built c in
-      let circuit = Option.get built.T.Trace_circuit.circuit in
+      let circuit = T.Trace_circuit.circuit built in
       let inputs =
         Array.of_list
           (List.map (T.Trace_circuit.encode_input built) (subject_matrices c ~index:0))
@@ -152,7 +152,7 @@ let subject_circuit_and_inputs (c : Case.t) =
       (circuit, inputs, observe)
   | Case.Matmul | Case.Conv ->
       let built = Oracle.matmul_built c in
-      let circuit = Option.get built.T.Matmul_circuit.circuit in
+      let circuit = T.Matmul_circuit.circuit built in
       let bs = subject_matrices c ~index:1 in
       let inputs =
         Array.of_list

@@ -12,13 +12,6 @@ let matmul_builds : (string, T.Matmul_circuit.built) Hashtbl.t = Hashtbl.create 
    re-packing per case would defeat that sharing. *)
 let trace_packs : (string, Th.Packed.t) Hashtbl.t = Hashtbl.create 16
 
-(* Direct-mode builds, kept separately: their packed form dispatches the
-   template-specialized kernels, which is exactly the leg the kernel
-   differential wants to pit against the materialized (all-generic)
-   builds above. *)
-let direct_matmul_builds : (string, T.Matmul_circuit.built) Hashtbl.t =
-  Hashtbl.create 16
-
 (* Packed circuits recovered through a save/load round trip of the
    artifact store, keyed like the builds above.  Loading goes through
    the full validation path (checksums, bounds, kernel dispatch tags),
@@ -29,7 +22,6 @@ let store_loaded : (string, Th.Packed.t) Hashtbl.t = Hashtbl.create 16
 let clear_cache () =
   Hashtbl.reset trace_builds;
   Hashtbl.reset matmul_builds;
-  Hashtbl.reset direct_matmul_builds;
   Hashtbl.reset store_loaded;
   Hashtbl.reset trace_packs
 
@@ -79,21 +71,6 @@ let matmul_built (c : Case.t) =
           ~entry_bits:c.entry_bits ~n:c.n ()
       in
       Hashtbl.add matmul_builds key b;
-      b
-
-let direct_matmul_built (c : Case.t) =
-  let key = Case.build_key c in
-  match Hashtbl.find_opt direct_matmul_builds key with
-  | Some b -> b
-  | None ->
-      bound direct_matmul_builds;
-      let b =
-        T.Matmul_circuit.build ~mode:Th.Builder.Direct
-          ~algo:(Case.algo_of_name c.algo)
-          ~schedule:(Case.resolve_schedule c) ~signed_inputs:c.signed
-          ~entry_bits:c.entry_bits ~n:c.n ()
-      in
-      Hashtbl.add direct_matmul_builds key b;
       b
 
 let fail fmt = Format.kasprintf (fun s -> Error s) fmt
@@ -210,36 +187,40 @@ let check_matmul (c : Case.t) =
           ( Case.matrix c ~index:(2 * i),
             Case.matrix c ~index:((2 * i) + 1) ))
     in
-    let batch = T.Matmul_circuit.run_batch built pairs in
-    (* Kernel leg: the same pairs through a Direct-mode build, whose
-       packed form dispatches the template-specialized kernels. *)
-    let direct = direct_matmul_built c in
-    let kernel_batch = T.Matmul_circuit.run_batch direct pairs in
+    let inputs =
+      Array.map
+        (fun (la, lb) -> T.Matmul_circuit.encode_inputs built ~a:la ~b:lb)
+        pairs
+    in
+    let decode_lanes br =
+      Array.init (Array.length pairs) (fun lane ->
+          T.Matmul_circuit.decode built (Th.Packed.batch_value br ~lane))
+    in
+    (* Generic leg: the same arena lowered without kernel dispatch, so
+       every segment takes the CSR loop — the arm the kernel leg (the
+       default pack, [run_batch] below) is checked against. *)
+    let generic =
+      Th.Packed.of_arena ~kernels:false
+        (Th.Builder.arena built.T.Matmul_circuit.builder)
+    in
+    let batch = decode_lanes (Th.Packed.run_batch generic inputs) in
+    let kernel_batch = T.Matmul_circuit.run_batch built pairs in
     (* Store round-trip leg: the kernel-dispatching packed form through
        a save / mmap load (including kernel spec decode) must match. *)
     let io =
       Tcmm_store.Artifact.Matmul_io
         {
-          layout_a = direct.T.Matmul_circuit.layout_a;
-          layout_b = direct.T.Matmul_circuit.layout_b;
-          c_grid = direct.T.Matmul_circuit.c_grid;
+          layout_a = built.T.Matmul_circuit.layout_a;
+          layout_b = built.T.Matmul_circuit.layout_b;
+          c_grid = built.T.Matmul_circuit.c_grid;
         }
     in
-    match store_loaded_packed c ~io (T.Matmul_circuit.pack direct) with
+    match store_loaded_packed c ~io (T.Matmul_circuit.pack built) with
     | Error msg -> fail "store round trip: %s" msg
     | Ok loaded ->
-        let inputs =
-          Array.map
-            (fun (la, lb) -> T.Matmul_circuit.encode_inputs direct ~a:la ~b:lb)
-            pairs
-        in
-        let br = Th.Packed.run_batch loaded inputs in
-        let loaded_batch =
-          Array.init (Array.length pairs) (fun lane ->
-              T.Matmul_circuit.decode direct (Th.Packed.batch_value br ~lane))
-        in
+        let loaded_batch = decode_lanes (Th.Packed.run_batch loaded inputs) in
         let lone =
-          T.Matmul_circuit.decode direct
+          T.Matmul_circuit.decode built
             (Th.Packed.batch_value (run_lone loaded inputs.(0)) ~lane:0)
         in
         let rec lanes_ok i =

@@ -4,7 +4,6 @@ module Matrix = Tcmm_fastmm.Matrix
 
 type built = {
   builder : Builder.t;
-  circuit : Circuit.t option;
   mutable packed : Packed.t option;
   layout_a : Encode.t;
   layout_b : Encode.t;
@@ -12,7 +11,7 @@ type built = {
   schedule : Level_schedule.t;
 }
 
-let build ?(mode = Builder.Materialize) ?(templates = true)
+let build ?(mode = Builder.Direct) ?(templates = true)
     ?(signed_inputs = false) ?share_top ~algo ~schedule ~entry_bits ~n
     () =
   let b = Builder.create ~mode ~templates () in
@@ -36,12 +35,7 @@ let build ?(mode = Builder.Materialize) ?(templates = true)
          Array.iter (Builder.output b) sb.Repr.pos_bits;
          Array.iter (Builder.output b) sb.Repr.neg_bits))
     c_grid;
-  let circuit =
-    match mode with
-    | Builder.Materialize -> Some (Builder.finalize b)
-    | Builder.Count_only | Builder.Direct -> None
-  in
-  { builder = b; circuit; packed = None; layout_a; layout_b; c_grid; schedule }
+  { builder = b; packed = None; layout_a; layout_b; c_grid; schedule }
 
 let encode_inputs built ~a ~b =
   let input =
@@ -51,28 +45,20 @@ let encode_inputs built ~a ~b =
   Encode.write built.layout_b b input;
   input
 
+let circuit built = Builder.finalize built.builder
+
 let pack built =
   match built.packed with
   | Some p -> p
   | None ->
-      let p =
-        match (built.circuit, Builder.mode built.builder) with
-        | Some c, _ -> Packed.of_circuit c
-        | None, Builder.Direct -> Packed.of_arena (Builder.arena built.builder)
-        | None, _ ->
-            invalid_arg "Matmul_circuit: circuit was built in Count_only mode"
-      in
+      let p = Packed.of_arena (Builder.arena built.builder) in
       built.packed <- Some p;
       p
 
-(* The reference interpreter reads the builder's own circuit when there
-   is one, so a Materialize build's reference leg never goes through
-   the packed compiler. *)
 let simulate ?(engine = Simulator.Packed) built inputs =
-  match (engine, built.circuit) with
-  | Simulator.Reference, Some c -> Simulator.run c inputs
-  | Simulator.Reference, None -> Simulator.run (Packed.circuit (pack built)) inputs
-  | Simulator.Packed, _ -> Packed.run (pack built) inputs
+  match engine with
+  | Simulator.Reference -> Simulator.run (circuit built) inputs
+  | Simulator.Packed -> Packed.run (pack built) inputs
 
 let decode built read =
   let n = Array.length built.c_grid in

@@ -16,7 +16,6 @@ open Tcmm_arith
 
 type built = {
   builder : Builder.t;
-  circuit : Circuit.t option;  (** [Some] only in [Materialize] mode *)
   mutable packed : Packed.t option;  (** memoized {!pack} result *)
   layout_a : Encode.t;
   layout_b : Encode.t;
@@ -38,16 +37,21 @@ val build :
 (** All wires of every [C] entry are marked as circuit outputs.
     [templates] (default [true]) stamps repeated block shapes through
     the {!Builder.templated} cache instead of re-deriving their gates;
-    the resulting circuit is gate-for-gate identical.  In
-    [Builder.Direct] mode no [Circuit.t] is materialized — the arena
-    lowers straight to the packed form on first {!pack}/{!run}. *)
+    the resulting circuit is gate-for-gate identical.  [mode] defaults
+    to [Builder.Direct]: no per-gate [Circuit.t] is expanded unless
+    {!circuit} asks for it — the arena lowers straight to the packed
+    form on first {!pack}/{!run}. *)
+
+val circuit : built -> Circuit.t
+(** The per-gate circuit ({!Builder.finalize}, memoized by the
+    builder): what the reference {!Simulator}, {!Validate} and the
+    mutation sweep read.  Raises [Invalid_argument] in [Count_only]
+    mode. *)
 
 val pack : built -> Packed.t
-(** The compiled evaluator form, memoized on [built]: a
-    {!Packed.of_arena} lowering with kernel dispatch in [Direct] mode,
-    the all-generic {!Packed.of_circuit} compilation of [circuit] in
-    [Materialize] mode.  Raises [Invalid_argument] in [Count_only]
-    mode.  For the generic arm of a Direct build, call
+(** The compiled evaluator form, memoized on [built]: the
+    {!Packed.of_arena} lowering with kernel dispatch.  Raises
+    [Invalid_argument] in [Count_only] mode.  For the generic arm, call
     [Packed.of_arena ~kernels:false (Builder.arena built.builder)]. *)
 
 val encode_inputs : built -> a:Tcmm_fastmm.Matrix.t -> b:Tcmm_fastmm.Matrix.t -> bool array
@@ -63,11 +67,10 @@ val run :
   a:Tcmm_fastmm.Matrix.t ->
   b:Tcmm_fastmm.Matrix.t ->
   Tcmm_fastmm.Matrix.t
-(** Simulate and decode [C].  Works in [Materialize] and [Direct] modes
-    (raises [Invalid_argument] in [Count_only]).  [engine] defaults to
-    the packed evaluator ({!Tcmm_threshold.Packed}) on {!pack}'s
-    memoized form; [Reference] interprets the materialized circuit
-    (lazily materialized from the packed form in [Direct] mode). *)
+(** Simulate and decode [C] (raises [Invalid_argument] in
+    [Count_only] mode).  [engine] defaults to the packed evaluator
+    ({!Tcmm_threshold.Packed}) on {!pack}'s memoized form; [Reference]
+    interprets {!circuit}. *)
 
 val run_batch :
   built -> (Tcmm_fastmm.Matrix.t * Tcmm_fastmm.Matrix.t) array -> Tcmm_fastmm.Matrix.t array

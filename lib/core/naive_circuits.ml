@@ -2,17 +2,14 @@ open Tcmm_threshold
 open Tcmm_arith
 module Matrix = Tcmm_fastmm.Matrix
 
-(* Shared by the three drivers: [circuit] is [None] outside
-   [Materialize] mode, and [packed] compiles it on first use. *)
-let simulate ?(engine = Simulator.Packed) ~what circuit packed input =
-  match circuit with
-  | None -> invalid_arg (what ^ ": Count_only mode")
-  | Some c -> (
-      match engine with
-      | Simulator.Reference -> Simulator.run c input
-      | Simulator.Packed -> Packed.run (Lazy.force packed) input)
+(* Shared by the three drivers: [packed] lowers the builder's arena on
+   first use, and the reference engine reads the expanded circuit. *)
+let simulate ?(engine = Simulator.Packed) b packed input =
+  match engine with
+  | Simulator.Reference -> Simulator.run (Builder.finalize b) input
+  | Simulator.Packed -> Packed.run (Lazy.force packed) input
 
-let compile circuit = lazy (Packed.of_circuit (Option.get circuit))
+let compile b = lazy (Packed.of_arena (Builder.arena b))
 
 (* ------------------------------------------------------------------ *)
 (* Triangle threshold (paper, Section 1)                              *)
@@ -20,7 +17,6 @@ let compile circuit = lazy (Packed.of_circuit (Option.get circuit))
 
 type triangle_built = {
   builder : Builder.t;
-  circuit : Circuit.t option;
   output : Wire.t;
   n : int;
   tau : int;
@@ -34,7 +30,7 @@ let edge_index ~n i j =
      i*n - i*(i+1)/2 - i ... computed directly. *)
   (i * (n - 1)) - (i * (i - 1) / 2) + (j - i - 1)
 
-let triangle_threshold ?(mode = Builder.Materialize) ~n ~tau () =
+let triangle_threshold ?(mode = Builder.Direct) ~n ~tau () =
   if n < 3 then invalid_arg "Naive_circuits.triangle_threshold: n < 3";
   let b = Builder.create ~mode () in
   let edges = Builder.add_inputs b (n * (n - 1) / 2) in
@@ -56,12 +52,9 @@ let triangle_threshold ?(mode = Builder.Materialize) ~n ~tau () =
   done;
   let output = Builder.add_gate_terms b ~terms:(List.rev !gates) ~threshold:tau in
   Builder.output b output;
-  let circuit =
-    match mode with
-    | Builder.Materialize -> Some (Builder.finalize b)
-    | Builder.Count_only | Builder.Direct -> None
-  in
-  { builder = b; circuit; output; n; tau; packed = compile circuit }
+  { builder = b; output; n; tau; packed = compile b }
+
+let triangle_circuit (built : triangle_built) = Builder.finalize built.builder
 
 let triangle_encode built m =
   let n = built.n in
@@ -80,8 +73,7 @@ let triangle_encode built m =
   input
 
 let triangle_run ?engine built m =
-  (simulate ?engine ~what:"triangle_run" built.circuit built.packed
-     (triangle_encode built m))
+  (simulate ?engine built.builder built.packed (triangle_encode built m))
     .Simulator.outputs.(0)
 
 (* ------------------------------------------------------------------ *)
@@ -90,7 +82,6 @@ let triangle_run ?engine built m =
 
 type trace_built = {
   builder : Builder.t;
-  circuit : Circuit.t option;
   output : Wire.t;
   trace_repr : Repr.signed;
   layout : Encode.t;
@@ -98,7 +89,7 @@ type trace_built = {
   packed : Packed.t Lazy.t;
 }
 
-let trace_threshold ?(mode = Builder.Materialize) ?(templates = true)
+let trace_threshold ?(mode = Builder.Direct) ?(templates = true)
     ?(signed_inputs = false) ~entry_bits ~tau ~n () =
   let b = Builder.create ~mode ~templates () in
   let layout = Encode.alloc b ~n ~entry_bits ~signed:signed_inputs in
@@ -114,18 +105,14 @@ let trace_threshold ?(mode = Builder.Materialize) ?(templates = true)
   let trace_repr = Repr.concat_signed (List.rev !products) in
   let output = Compare.ge b trace_repr tau in
   Builder.output b output;
-  let circuit =
-    match mode with
-    | Builder.Materialize -> Some (Builder.finalize b)
-    | Builder.Count_only | Builder.Direct -> None
-  in
-  { builder = b; circuit; output; trace_repr; layout; tau;
-    packed = compile circuit }
+  { builder = b; output; trace_repr; layout; tau; packed = compile b }
+
+let trace_circuit (built : trace_built) = Builder.finalize built.builder
 
 let trace_simulate ?engine built m =
   let input = Array.make (Encode.total_wires built.layout) false in
   Encode.write built.layout m input;
-  simulate ?engine ~what:"trace_run" built.circuit built.packed input
+  simulate ?engine built.builder built.packed input
 
 let trace_run ?engine built m =
   (trace_simulate ?engine built m).Simulator.outputs.(0)
@@ -141,14 +128,13 @@ let trace_value ?engine built m =
 
 type matmul_built = {
   builder : Builder.t;
-  circuit : Circuit.t option;
   layout_a : Encode.t;
   layout_b : Encode.t;
   c_grid : Repr.signed_bits array array;
   packed : Packed.t Lazy.t;
 }
 
-let matmul ?(mode = Builder.Materialize) ?(templates = true)
+let matmul ?(mode = Builder.Direct) ?(templates = true)
     ?(signed_inputs = false) ~entry_bits ~n () =
   let b = Builder.create ~mode ~templates () in
   let layout_a = Encode.alloc b ~n ~entry_bits ~signed:signed_inputs in
@@ -168,12 +154,9 @@ let matmul ?(mode = Builder.Materialize) ?(templates = true)
          Array.iter (Builder.output b) sb.Repr.pos_bits;
          Array.iter (Builder.output b) sb.Repr.neg_bits))
     c_grid;
-  let circuit =
-    match mode with
-    | Builder.Materialize -> Some (Builder.finalize b)
-    | Builder.Count_only | Builder.Direct -> None
-  in
-  { builder = b; circuit; layout_a; layout_b; c_grid; packed = compile circuit }
+  { builder = b; layout_a; layout_b; c_grid; packed = compile b }
+
+let matmul_circuit (built : matmul_built) = Builder.finalize built.builder
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form statistics                                             *)
@@ -233,7 +216,7 @@ let matmul_run ?engine built ~a ~b =
   in
   Encode.write built.layout_a a input;
   Encode.write built.layout_b b input;
-  let r = simulate ?engine ~what:"matmul_run" built.circuit built.packed input in
+  let r = simulate ?engine built.builder built.packed input in
   let n = Array.length built.c_grid in
   Matrix.init ~rows:n ~cols:n (fun i j ->
       Repr.eval_sbits (Simulator.value r) built.c_grid.(i).(j))

@@ -15,16 +15,21 @@ open Tcmm_arith
 
 type triangle_built = {
   builder : Builder.t;
-  circuit : Circuit.t option;
   output : Wire.t;
   n : int;
   tau : int;
-  packed : Packed.t Lazy.t;  (** {!Packed.of_circuit} of [circuit], on first use *)
+  packed : Packed.t Lazy.t;  (** {!Packed.of_arena} of [builder], on first use *)
 }
 
 val triangle_threshold : ?mode:Builder.mode -> n:int -> tau:int -> unit -> triangle_built
 (** Inputs: [x_ij] for [i < j] in lexicographic order ([N*(N-1)/2]
-    wires). *)
+    wires).  [mode] defaults to [Builder.Direct], as for every driver
+    here. *)
+
+val triangle_circuit : triangle_built -> Circuit.t
+(** The per-gate circuit ({!Builder.finalize}); likewise
+    {!trace_circuit} and {!matmul_circuit}.  Raise [Invalid_argument]
+    in [Count_only] mode. *)
 
 val triangle_encode : triangle_built -> Tcmm_fastmm.Matrix.t -> bool array
 (** Encodes a symmetric 0/1 adjacency matrix with zero diagonal; raises
@@ -35,12 +40,11 @@ val triangle_run :
 
 type trace_built = {
   builder : Builder.t;
-  circuit : Circuit.t option;
   output : Wire.t;
   trace_repr : Repr.signed;
   layout : Encode.t;
   tau : int;
-  packed : Packed.t Lazy.t;  (** {!Packed.of_circuit} of [circuit], on first use *)
+  packed : Packed.t Lazy.t;  (** {!Packed.of_arena} of [builder], on first use *)
 }
 
 val trace_threshold :
@@ -53,6 +57,8 @@ val trace_threshold :
   unit ->
   trace_built
 
+val trace_circuit : trace_built -> Circuit.t
+
 val trace_run :
   ?engine:Simulator.engine -> trace_built -> Tcmm_fastmm.Matrix.t -> bool
 
@@ -61,11 +67,10 @@ val trace_value :
 
 type matmul_built = {
   builder : Builder.t;
-  circuit : Circuit.t option;
   layout_a : Encode.t;
   layout_b : Encode.t;
   c_grid : Repr.signed_bits array array;
-  packed : Packed.t Lazy.t;  (** {!Packed.of_circuit} of [circuit], on first use *)
+  packed : Packed.t Lazy.t;  (** {!Packed.of_arena} of [builder], on first use *)
 }
 
 val matmul :
@@ -76,6 +81,8 @@ val matmul :
   n:int ->
   unit ->
   matmul_built
+
+val matmul_circuit : matmul_built -> Circuit.t
 
 val matmul_run :
   ?engine:Simulator.engine ->

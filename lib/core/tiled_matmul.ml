@@ -5,7 +5,6 @@ module Checked = Tcmm_util.Checked
 
 type built = {
   builder : Builder.t;
-  circuit : Circuit.t option;
   layout_a : Encode.t;
   layout_b : Encode.t;
   c_grid : Repr.signed_bits array array;
@@ -15,7 +14,7 @@ type built = {
 
 let round_up v ~block = (v + block - 1) / block * block
 
-let build ?(mode = Builder.Materialize) ?(templates = true)
+let build ?(mode = Builder.Direct) ?(templates = true)
     ?(signed_inputs = false) ?share_top ~algo ~schedule ~entry_bits ~rows ~inner
     ~cols () =
   let levels = (schedule : Level_schedule.t).Level_schedule.levels in
@@ -79,33 +78,27 @@ let build ?(mode = Builder.Materialize) ?(templates = true)
          Array.iter (Builder.output b) sb.Repr.pos_bits;
          Array.iter (Builder.output b) sb.Repr.neg_bits))
     c_grid;
-  let circuit =
-    match mode with
-    | Builder.Materialize -> Some (Builder.finalize b)
-    | Builder.Count_only | Builder.Direct -> None
-  in
-  { builder = b; circuit; layout_a; layout_b; c_grid; block;
-    packed = lazy (Packed.of_circuit (Option.get circuit)) }
+  { builder = b; layout_a; layout_b; c_grid; block;
+    packed = lazy (Packed.of_arena (Builder.arena b)) }
+
+let circuit built = Builder.finalize built.builder
 
 let run ?(engine = Simulator.Packed) built ~a ~b =
-  match built.circuit with
-  | None -> invalid_arg "Tiled_matmul.run: circuit was not materialized"
-  | Some c ->
-      let input =
-        Array.make
-          (Encode.total_wires built.layout_a + Encode.total_wires built.layout_b)
-          false
-      in
-      Encode.write built.layout_a a input;
-      Encode.write built.layout_b b input;
-      let r =
-        match engine with
-        | Simulator.Reference -> Simulator.run c input
-        | Simulator.Packed -> Packed.run (Lazy.force built.packed) input
-      in
-      Matrix.init
-        ~rows:(Array.length built.c_grid)
-        ~cols:(Array.length built.c_grid.(0))
-        (fun i j -> Repr.eval_sbits (Simulator.value r) built.c_grid.(i).(j))
+  let input =
+    Array.make
+      (Encode.total_wires built.layout_a + Encode.total_wires built.layout_b)
+      false
+  in
+  Encode.write built.layout_a a input;
+  Encode.write built.layout_b b input;
+  let r =
+    match engine with
+    | Simulator.Reference -> Simulator.run (circuit built) input
+    | Simulator.Packed -> Packed.run (Lazy.force built.packed) input
+  in
+  Matrix.init
+    ~rows:(Array.length built.c_grid)
+    ~cols:(Array.length built.c_grid.(0))
+    (fun i j -> Repr.eval_sbits (Simulator.value r) built.c_grid.(i).(j))
 
 let stats built = Builder.stats built.builder

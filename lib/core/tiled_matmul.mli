@@ -22,14 +22,13 @@ open Tcmm_arith
 
 type built = {
   builder : Builder.t;
-  circuit : Circuit.t option;
   layout_a : Encode.t;  (** [rows x inner] *)
   layout_b : Encode.t;  (** [inner x cols] *)
   c_grid : Repr.signed_bits array array;  (** [rows x cols] *)
   block : int;
   packed : Packed.t Lazy.t;
-      (** {!Packed.of_circuit} of [circuit], compiled on the first
-          packed {!run} *)
+      (** {!Packed.of_arena} of [builder], compiled on the first packed
+          {!run} *)
 }
 
 val round_up : int -> block:int -> int
@@ -52,7 +51,11 @@ val build :
     block size [T^L] (use {!round_up} and zero-padding via
     {!Tcmm_convnet.Im2col.embed}-style placement, or just pass padded
     shapes — zero entries are free in the simulation and harmless in the
-    counts). *)
+    counts).  [mode] defaults to [Builder.Direct]. *)
+
+val circuit : built -> Circuit.t
+(** The per-gate circuit ({!Builder.finalize}).  Raises
+    [Invalid_argument] in [Count_only] mode. *)
 
 val run :
   ?engine:Simulator.engine ->
@@ -60,8 +63,9 @@ val run :
   a:Tcmm_fastmm.Matrix.t ->
   b:Tcmm_fastmm.Matrix.t ->
   Tcmm_fastmm.Matrix.t
-(** Simulate and decode the [rows x cols] product.  Requires
-    [Materialize] mode.  [engine] defaults to the packed evaluator,
-    compiled once per [built] value. *)
+(** Simulate and decode the [rows x cols] product (raises
+    [Invalid_argument] in [Count_only] mode).  [engine] defaults to the
+    packed evaluator, compiled once per [built] value; [Reference]
+    interprets {!circuit}. *)
 
 val stats : built -> Stats.t

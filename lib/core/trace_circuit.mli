@@ -21,7 +21,6 @@ open Tcmm_arith
 
 type built = {
   builder : Builder.t;
-  circuit : Circuit.t option;  (** [Some] iff built in [Materialize] mode *)
   mutable packed : Packed.t option;  (** memoized {!pack} result *)
   output : Wire.t;  (** fires iff [trace(A^3) >= tau] *)
   trace_repr : Repr.signed;  (** representation of [trace(A^3)] itself *)
@@ -48,15 +47,18 @@ val build :
     fewer gates — the E11 ablation quantifies it).  [templates] (default
     [true]) stamps repeated block shapes through the
     {!Builder.templated} cache — gate-for-gate identical circuits, much
-    faster construction.  [n] must equal [T^L] for the schedule's final
-    level [L]. *)
+    faster construction.  [mode] defaults to [Builder.Direct].  [n]
+    must equal [T^L] for the schedule's final level [L]. *)
+
+val circuit : built -> Circuit.t
+(** The per-gate circuit ({!Builder.finalize}, memoized by the
+    builder) for the reference {!Simulator}, {!Validate} and the
+    mutation sweep.  Raises [Invalid_argument] in [Count_only] mode. *)
 
 val pack : built -> Packed.t
-(** The compiled evaluator form, memoized on [built]: a
-    {!Packed.of_arena} lowering with kernel dispatch in [Direct] mode,
-    the all-generic {!Packed.of_circuit} compilation of [circuit] in
-    [Materialize] mode.  Raises [Invalid_argument] in [Count_only]
-    mode. *)
+(** The compiled evaluator form, memoized on [built]: the
+    {!Packed.of_arena} lowering with kernel dispatch.  Raises
+    [Invalid_argument] in [Count_only] mode. *)
 
 val build_staged :
   ?mode:Builder.mode ->
@@ -80,10 +82,9 @@ val encode_input : built -> Tcmm_fastmm.Matrix.t -> bool array
 (** Input vector encoding [A]. *)
 
 val run : ?engine:Simulator.engine -> built -> Tcmm_fastmm.Matrix.t -> bool
-(** Simulate on [A]; works in [Materialize] and [Direct] modes (raises
-    [Invalid_argument] in [Count_only]).  [engine] defaults to the
-    packed evaluator on {!pack}'s memoized form; [Reference] interprets
-    the materialized circuit. *)
+(** Simulate on [A] (raises [Invalid_argument] in [Count_only] mode).
+    [engine] defaults to the packed evaluator on {!pack}'s memoized
+    form; [Reference] interprets {!circuit}. *)
 
 val run_batch : built -> Tcmm_fastmm.Matrix.t array -> bool array
 (** Decide [trace(A^3) >= tau] for many matrices in one batched circuit

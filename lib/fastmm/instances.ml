@@ -184,3 +184,12 @@ let all () =
     strassen_squared;
     laderman;
   ]
+
+let find name =
+  let all = all () in
+  match List.find_opt (fun a -> a.Bilinear.name = name) all with
+  | Some a -> Ok a
+  | None ->
+      Error
+        (Printf.sprintf "unknown algorithm %S (try: %s)" name
+           (String.concat ", " (List.map (fun a -> a.Bilinear.name) all)))

@@ -33,3 +33,7 @@ val laderman : Bilinear.t
 val all : unit -> Bilinear.t list
 (** The instances above (with [naive] at [T = 2] and [T = 3]), in a
     stable presentation order for tables. *)
+
+val find : string -> (Bilinear.t, string) result
+(** The instance of {!all} with this {!Bilinear.name}; the error names
+    the known ones. *)

@@ -48,19 +48,6 @@ let key (s : Protocol.spec) =
   Printf.sprintf "%s|%s|%s|d=%d|n=%d|b=%d|signed=%b|tau=%d" kind s.algo
     s.schedule s.d s.n s.entry_bits s.signed tau
 
-let algo_by_name name =
-  match
-    List.find_opt
-      (fun a -> a.F.Bilinear.name = name)
-      (F.Instances.all ())
-  with
-  | Some a -> a
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown algorithm %S (try: %s)" name
-           (String.concat ", "
-              (List.map (fun a -> a.F.Bilinear.name) (F.Instances.all ()))))
-
 (* Bounds that keep a hostile spec from requesting a terabyte build;
    the real limit is the builder's own memory use.  [kronpow] selects
    no pass and is not part of the key, so a set flag is refused here
@@ -77,44 +64,39 @@ let validate (s : Protocol.spec) =
   if s.d < 1 || s.d > 32 then
     invalid_arg (Printf.sprintf "d = %d out of range [1, 32]" s.d)
 
-(* Every served circuit is built in [Direct] mode: stamped blocks go
-   straight to the packed CSR form ({!Tcmm_threshold.Packed.of_arena}),
-   with kernel dispatch, without ever materializing a [Circuit.t]. *)
+(* Every served circuit is a default ([Direct]) driver build: stamped
+   blocks go straight to the packed CSR form
+   ({!Tcmm_threshold.Packed.of_arena}), with kernel dispatch, without
+   ever expanding a per-gate [Circuit.t]. *)
 let build (s : Protocol.spec) =
-  let algo = algo_by_name s.algo in
+  let algo =
+    match F.Instances.find s.algo with Ok a -> a | Error msg -> invalid_arg msg
+  in
   let schedule = T.Level_schedule.resolve ~algo ~name:s.schedule ~d:s.d ~n:s.n in
-  let mode = Th.Builder.Direct in
   let t0 = Clock.now () in
-  let compiled =
+  let compiled, pack, stats =
     match s.kind with
     | Protocol.Matmul | Protocol.Conv ->
-        Matmul
-          (T.Matmul_circuit.build ~mode ~algo ~schedule
-             ~signed_inputs:s.signed ~entry_bits:s.entry_bits ~n:s.n ())
+        let b =
+          T.Matmul_circuit.build ~algo ~schedule ~signed_inputs:s.signed
+            ~entry_bits:s.entry_bits ~n:s.n ()
+        in
+        (Matmul b, (fun () -> T.Matmul_circuit.pack b), T.Matmul_circuit.stats b)
     | Protocol.Trace | Protocol.Triangles ->
         let tau =
           match s.kind with
           | Protocol.Triangles -> Tcmm_util.Checked.mul 6 s.tau
           | _ -> s.tau
         in
-        Trace
-          (T.Trace_circuit.build ~mode ~algo ~schedule
-             ~signed_inputs:s.signed ~entry_bits:s.entry_bits ~tau ~n:s.n ())
+        let b =
+          T.Trace_circuit.build ~algo ~schedule ~signed_inputs:s.signed
+            ~entry_bits:s.entry_bits ~tau ~n:s.n ()
+        in
+        (Trace b, (fun () -> T.Trace_circuit.pack b), T.Trace_circuit.stats b)
   in
   let t1 = Clock.now () in
-  let packed =
-    match compiled with
-    | Matmul built -> T.Matmul_circuit.pack built
-    | Trace built -> T.Trace_circuit.pack built
-    | Stored _ -> assert false
-  in
+  let packed = pack () in
   let t2 = Clock.now () in
-  let stats =
-    match compiled with
-    | Matmul built -> T.Matmul_circuit.stats built
-    | Trace built -> T.Trace_circuit.stats built
-    | Stored _ -> assert false
-  in
   {
     spec = s;
     compiled;
@@ -127,9 +109,7 @@ let build (s : Protocol.spec) =
     lower_seconds = t2 -. t1;
   }
 
-(* What the artifact store needs to serve this entry later without the
-   driver value: the input layouts and output representation. *)
-let io_of_entry e =
+let io e =
   match e.compiled with
   | Matmul b ->
       Tcmm_store.Artifact.Matmul_io
@@ -196,7 +176,7 @@ let lookup_or_build t spec =
                       Tcmm_store.Artifact.m_key = k;
                       m_build_seconds = entry.build_seconds;
                       m_stats = entry.stats;
-                      m_io = io_of_entry entry;
+                      m_io = io entry;
                     }
                   in
                   ignore (Tcmm_store.Store.save store ~meta entry.packed));

@@ -11,9 +11,8 @@
     Misses build through the template-stamping [Direct] path: repeated
     block shapes are hash-consed and stamped by offset arithmetic, and
     the arena lowers straight to the packed CSR form with kernel
-    dispatch, without materializing a {!Tcmm_threshold.Circuit.t}
-    (available lazily through {!Tcmm_threshold.Packed.circuit} if ever
-    needed). *)
+    dispatch, without expanding a per-gate {!Tcmm_threshold.Circuit.t}
+    (the driver's [circuit] accessor does that, if ever needed). *)
 
 type compiled =
   | Matmul of Tcmm.Matmul_circuit.built
@@ -46,6 +45,12 @@ type entry = {
   construct_seconds : float;  (** driver build (stamping); 0 for [Warm] *)
   lower_seconds : float;  (** packed lowering, or the artifact load *)
 }
+
+val io : entry -> Tcmm_store.Artifact.io
+(** How to feed and read the entry's circuit: its input layouts and
+    output representation.  Fresh and store-loaded entries answer
+    alike — the artifact header persists exactly this — so the server
+    encodes requests and decodes replies through it alone. *)
 
 type outcome =
   | Cached  (** LRU hit *)

@@ -313,7 +313,10 @@ let encode_request = function
      tag byte must not collide with any response tag that carries a
      payload (9 is [Error]) — otherwise that response's 2-byte
      truncation prefix would decode as a valid request.  13 is unused
-     in both tag spaces. *)
+     in both tag spaces.  [Metrics] (6) predates the rule and breaks
+     it: [Metrics_result] carries a payload under tag 6, so its 2-byte
+     prefix decodes as a [Metrics] request until a frame-format change
+     moves one of the two. *)
   | Fleet -> payload 13 ignore
   | Open_session (spec, m) ->
       payload 14 (fun buf ->

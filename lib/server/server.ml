@@ -248,98 +248,55 @@ let conv_matrices (job : P.conv_job) ~n =
   in
   (a, b, finish)
 
+(* Input vectors from a circuit's I/O descriptor.  [Encode.write]
+   raises [Invalid_argument] on a wrongly-shaped matrix or an entry
+   outside the layout's range, which the callers convert to an [Error]
+   reply. *)
+let matmul_input layout_a layout_b a b =
+  let wa = T.Encode.total_wires layout_a in
+  let input = Array.make (wa + T.Encode.total_wires layout_b) false in
+  T.Encode.write layout_a a input;
+  T.Encode.write layout_b b input;
+  input
+
+let trace_input layout m =
+  let input = Array.make (T.Encode.total_wires layout) false in
+  T.Encode.write layout m input;
+  input
+
 (* Encode the request's matrices into an input vector and build the
-   per-lane decoder.  [Encode.write] raises [Invalid_argument] on a
-   wrongly-shaped matrix or an entry outside the layout's range, which
-   the caller converts to an [Error] reply. *)
+   per-lane decoder. *)
 let prepare_run (entry : Circuit_cache.entry) req =
-  match (entry.compiled, req) with
-  | Circuit_cache.Matmul built, P.Run_matmul (_, a, b) ->
-      let input = T.Matmul_circuit.encode_inputs built ~a ~b in
-      let reply br ~lane =
-        P.Matmul_result
-          ( T.Matmul_circuit.decode built (fun w ->
-                Th.Packed.batch_value br ~lane w),
-            Th.Packed.batch_firings br ~lane )
-      in
-      (input, reply)
-  | Circuit_cache.Trace built, P.Run_trace (_, a) ->
-      let input = T.Trace_circuit.encode_input built a in
-      let out = built.T.Trace_circuit.output in
-      let reply br ~lane =
-        P.Trace_result
-          (Th.Packed.batch_value br ~lane out, Th.Packed.batch_firings br ~lane)
-      in
-      (input, reply)
-  | Circuit_cache.Trace built, P.Run_triangles (_, a) ->
-      let input = T.Trace_circuit.encode_input built a in
-      let out = built.T.Trace_circuit.output in
-      let reply br ~lane =
-        P.Triangles_result
-          (Th.Packed.batch_value br ~lane out, Th.Packed.batch_firings br ~lane)
-      in
-      (input, reply)
-  (* Store-loaded entries carry no driver value; the artifact's I/O
-     descriptor (layouts + output representation) is enough to encode
-     requests and decode replies. *)
-  | ( Circuit_cache.Stored (Tcmm_store.Artifact.Matmul_io io),
-      P.Run_matmul (_, a, b) ) ->
-      let wa = T.Encode.total_wires io.layout_a in
-      let input = Array.make (wa + T.Encode.total_wires io.layout_b) false in
-      T.Encode.write io.layout_a a input;
-      T.Encode.write io.layout_b b input;
+  let entry_of c_grid br ~lane i j =
+    Tcmm_arith.Repr.eval_sbits
+      (fun w -> Th.Packed.batch_value br ~lane w)
+      c_grid.(i).(j)
+  in
+  match (Circuit_cache.io entry, req) with
+  | Tcmm_store.Artifact.Matmul_io io, P.Run_matmul (_, a, b) ->
       let n = Array.length io.c_grid in
       let reply br ~lane =
         P.Matmul_result
-          ( Tcmm_fastmm.Matrix.init ~rows:n ~cols:n (fun i j ->
-                Tcmm_arith.Repr.eval_sbits
-                  (fun w -> Th.Packed.batch_value br ~lane w)
-                  io.c_grid.(i).(j)),
+          ( Tcmm_fastmm.Matrix.init ~rows:n ~cols:n (entry_of io.c_grid br ~lane),
             Th.Packed.batch_firings br ~lane )
       in
-      (input, reply)
-  | ( Circuit_cache.Stored (Tcmm_store.Artifact.Trace_io io),
-      (P.Run_trace (_, a) | P.Run_triangles (_, a)) ) ->
-      let input = Array.make (T.Encode.total_wires io.layout) false in
-      T.Encode.write io.layout a input;
-      let out = io.output in
+      (matmul_input io.layout_a io.layout_b a b, reply)
+  | Tcmm_store.Artifact.Matmul_io io, P.Run_conv (_, job) ->
+      let a, b, finish = conv_matrices job ~n:entry.spec.P.n in
       let reply br ~lane =
-        let fired = Th.Packed.batch_value br ~lane out in
+        finish (entry_of io.c_grid br ~lane) (Th.Packed.batch_firings br ~lane)
+      in
+      (matmul_input io.layout_a io.layout_b a b, reply)
+  | Tcmm_store.Artifact.Trace_io io, (P.Run_trace (_, a) | P.Run_triangles (_, a))
+    ->
+      let reply br ~lane =
+        let fired = Th.Packed.batch_value br ~lane io.output in
         let firings = Th.Packed.batch_firings br ~lane in
         match req with
         | P.Run_triangles _ -> P.Triangles_result (fired, firings)
         | _ -> P.Trace_result (fired, firings)
       in
-      (input, reply)
-  | Circuit_cache.Matmul built, P.Run_conv (_, job) ->
-      let a, b, finish = conv_matrices job ~n:entry.spec.P.n in
-      let input = T.Matmul_circuit.encode_inputs built ~a ~b in
-      let reply br ~lane =
-        let m =
-          T.Matmul_circuit.decode built (fun w ->
-              Th.Packed.batch_value br ~lane w)
-        in
-        finish
-          (fun i j -> P.Matrix.get m i j)
-          (Th.Packed.batch_firings br ~lane)
-      in
-      (input, reply)
-  | ( Circuit_cache.Stored (Tcmm_store.Artifact.Matmul_io io),
-      P.Run_conv (_, job) ) ->
-      let a, b, finish = conv_matrices job ~n:entry.spec.P.n in
-      let wa = T.Encode.total_wires io.layout_a in
-      let input = Array.make (wa + T.Encode.total_wires io.layout_b) false in
-      T.Encode.write io.layout_a a input;
-      T.Encode.write io.layout_b b input;
-      let reply br ~lane =
-        finish
-          (fun i j ->
-            Tcmm_arith.Repr.eval_sbits
-              (fun w -> Th.Packed.batch_value br ~lane w)
-              io.c_grid.(i).(j))
-          (Th.Packed.batch_firings br ~lane)
-      in
-      (input, reply)
+      (trace_input io.layout a, reply)
   | _ -> invalid_arg "request kind does not match the compiled circuit"
 
 let with_entry st c spec k =
@@ -405,14 +362,10 @@ let handle_run st c ~now spec req =
 (* ------------------------------------------------------------------ *)
 
 let session_input (entry : Circuit_cache.entry) m =
-  match entry.compiled with
-  | Circuit_cache.Trace built ->
-      (T.Trace_circuit.encode_input built m, built.T.Trace_circuit.output)
-  | Circuit_cache.Stored (Tcmm_store.Artifact.Trace_io io) ->
-      let input = Array.make (T.Encode.total_wires io.layout) false in
-      T.Encode.write io.layout m input;
-      (input, io.output)
-  | _ -> invalid_arg "streaming sessions serve trace/triangles circuits"
+  match Circuit_cache.io entry with
+  | Tcmm_store.Artifact.Trace_io io -> (trace_input io.layout m, io.output)
+  | Tcmm_store.Artifact.Matmul_io _ ->
+      invalid_arg "streaming sessions serve trace/triangles circuits"
 
 let evict_lru_session st =
   if Hashtbl.length st.sessions >= max 1 st.cfg.max_sessions then begin

@@ -1,9 +1,9 @@
 module Intvec = Tcmm_util.Intvec
 
-type mode = Materialize | Count_only | Direct
+type mode = Count_only | Direct
 
-(* Growable gate store; used in Materialize and Direct modes, and
-   transiently in Count_only while a template is being recorded. *)
+(* Growable gate store; used in Direct mode, and transiently in
+   Count_only while a template is being recorded. *)
 module Gvec = struct
   type t = { mutable data : Gate.t array; mutable len : int }
 
@@ -30,7 +30,8 @@ module Gvec = struct
 end
 
 (* Arena item log (Direct mode): construction order of raw-gate runs and
-   template instances, enough to lower straight to the packed form. *)
+   template instances, enough to lower straight to the packed form or
+   to expand into the per-gate circuit. *)
 type item =
   | A_raw of { gate0 : int; gv0 : int; mutable count : int }
   | A_inst of { tpl : Template.t; wire0 : int; slots : int array }
@@ -65,9 +66,10 @@ type t = {
   mutable tpl_templates : int;
   mutable tpl_instances : int;
   mutable tpl_gates : int;
+  mutable finalized : Circuit.t option;  (* memo of [finalize] *)
 }
 
-let create ?(mode = Materialize) ?(templates = true) () =
+let create ?(mode = Direct) ?(templates = true) () =
   {
     mode;
     depths = Intvec.create ~capacity:1024 ();
@@ -87,6 +89,7 @@ let create ?(mode = Materialize) ?(templates = true) () =
     tpl_templates = 0;
     tpl_instances = 0;
     tpl_gates = 0;
+    finalized = None;
   }
 
 let mode t = t.mode
@@ -109,7 +112,7 @@ let bump_by_depth t d =
 
 (* Whether the store keeps gate records right now. *)
 let keeps_gates t =
-  match t.mode with Materialize | Direct -> true | Count_only -> t.recording
+  match t.mode with Direct -> true | Count_only -> t.recording
 
 (* Log [count] freshly appended raw gates (first wire [wire0], first
    store slot [gv0]) in the Direct-mode item log, coalescing with an
@@ -256,27 +259,6 @@ let stamp t tpl ~inputs =
         t.items_rev <-
           A_inst { tpl; wire0; slots = Array.copy inputs } :: t.items_rev;
         t.raw_open <- false
-    | Materialize ->
-        (* One fresh resolved input array per segment, weights shared
-           from the template: within an instance the physical-sharing
-           structure matches what the constructor emitted, so
-           [Packed.of_circuit] finds the same segments. *)
-        let nsegs = Array.length tpl.seg_start - 1 in
-        for s = 0 to nsegs - 1 do
-          let g0 = tpl.seg_start.(s) in
-          let gend = tpl.seg_start.(s + 1) in
-          let off = tpl.seg_off.(s) in
-          let fan = tpl.seg_off.(s + 1) - off in
-          let ins =
-            Array.init fan (fun i ->
-                resolve ~wire0 ~inputs tpl.s_refs.(off + i))
-          in
-          let weights = tpl.s_weights.(s) in
-          for g = g0 to gend - 1 do
-            Gvec.push t.gates
-              (Gate.make ~inputs:ins ~weights ~threshold:tpl.g_threshold.(g))
-          done
-        done
   end;
   t.tpl_instances <- t.tpl_instances + 1;
   t.tpl_gates <- t.tpl_gates + tpl.n_gates;
@@ -306,7 +288,6 @@ let templated t ~tag ~data ~inputs ~build =
           t.tpl_instances <- t.tpl_instances + 1;
           t.tpl_gates <- t.tpl_gates + Template.n_gates tpl;
           (match t.mode with
-          | Materialize -> ()
           | Count_only -> Gvec.truncate t.gates gv0
           | Direct ->
               Gvec.truncate t.gates gv0;
@@ -340,8 +321,7 @@ let arena t =
         a_raw = Gvec.to_array t.gates;
         a_outputs = Array.of_list (List.rev t.outputs_rev);
       }
-  | Materialize | Count_only ->
-      invalid_arg "Builder.arena: builder is not in Direct mode"
+  | Count_only -> invalid_arg "Builder.arena: builder is not in Direct mode"
 
 let stats t =
   {
@@ -355,13 +335,48 @@ let stats t =
     gates_by_depth = Intvec.to_array t.by_depth;
   }
 
+(* The per-gate circuit of a Direct builder: raw runs are copied from
+   the gate store, and each template instance's segments are resolved
+   against its base wire and slots — one fresh input array per segment,
+   weights shared from the template, so the gates of a segment share
+   their arrays exactly as the constructor's did. *)
+let expand_gates t =
+  let gates = Array.make t.gate_count Gvec.dummy in
+  List.iter
+    (function
+      | A_raw { gate0; gv0; count } ->
+          Array.blit t.gates.Gvec.data gv0 gates (gate0 - t.inputs) count
+      | A_inst { tpl; wire0; slots } ->
+          let open Template in
+          for s = 0 to Array.length tpl.seg_start - 2 do
+            let off = tpl.seg_off.(s) in
+            let ins =
+              Array.init (tpl.seg_off.(s + 1) - off) (fun i ->
+                  resolve ~wire0 ~inputs:slots tpl.s_refs.(off + i))
+            in
+            let weights = tpl.s_weights.(s) in
+            for g = tpl.seg_start.(s) to tpl.seg_start.(s + 1) - 1 do
+              gates.(wire0 - t.inputs + g) <-
+                Gate.make ~inputs:ins ~weights ~threshold:tpl.g_threshold.(g)
+            done
+          done)
+    t.items_rev;
+  gates
+
+(* Memoized: wires and outputs are append-only, so a circuit with the
+   builder's current counts is the builder's current circuit. *)
 let finalize t =
-  match t.mode with
-  | Count_only -> invalid_arg "Builder.finalize: builder is in Count_only mode"
-  | Direct ->
-      invalid_arg
-        "Builder.finalize: builder is in Direct mode (lower the arena with \
-         Packed.of_arena)"
-  | Materialize ->
-      Circuit.make ~num_inputs:t.inputs ~gates:(Gvec.to_array t.gates)
-        ~outputs:(Array.of_list (List.rev t.outputs_rev))
+  match (t.mode, t.finalized) with
+  | Count_only, _ ->
+      invalid_arg "Builder.finalize: builder is in Count_only mode"
+  | Direct, Some c
+    when Circuit.num_wires c = num_wires t
+         && Array.length c.Circuit.outputs = t.n_outputs ->
+      c
+  | Direct, _ ->
+      let c =
+        Circuit.make ~num_inputs:t.inputs ~gates:(expand_gates t)
+          ~outputs:(Array.of_list (List.rev t.outputs_rev))
+      in
+      t.finalized <- Some c;
+      c

@@ -4,20 +4,19 @@
     Section 3 and the trace / matrix-product circuits of Section 4) are
     written against this builder.  It runs in one of two modes:
 
-    - {b Materialize}: gates are stored and {!finalize} yields a
-      {!Circuit.t} that can be simulated exactly.
+    - {b Direct}: gates are kept as an {!arena} — an ordered log of raw
+      gate runs and template instances.  {!Packed.of_arena} lowers it
+      straight to the packed CSR form, and {!finalize} expands it into
+      the per-gate {!Circuit.t} that the reference {!Simulator} and
+      {!Validate} read.
     - {b Count_only}: gates are only tallied (count, edges, per-wire depth,
       fan-in, weight range).  This gives {i exact} structural statistics for
       circuits far too large to hold in memory — the paper's scaling claims
       are about gate counts, so the count-only sweeps are the primary
       experimental instrument.
-    - {b Direct}: gates are kept as an {!arena} — an ordered log of raw
-      gate runs and template instances — that {!Packed.of_arena} lowers
-      straight to the packed CSR form, skipping the per-gate
-      [Circuit.t] heap walk.
 
-    Constructor code is identical under all modes; only [finalize] is
-    restricted to [Materialize].
+    Constructor code is identical under both modes; only [finalize] and
+    [arena] are restricted to [Direct].
 
     {b Templates.} The paper's constructions stamp a handful of block
     shapes (Lemma 3.1 shared-threshold layers, Lemma 3.3 product blocks,
@@ -27,12 +26,12 @@
     occurrence is reproduced by offset arithmetic — same wires, same
     depths, same stats, same gates — without re-running the constructor. *)
 
-type mode = Materialize | Count_only | Direct
+type mode = Count_only | Direct
 
 type t
 
 val create : ?mode:mode -> ?templates:bool -> unit -> t
-(** [create ()] starts an empty builder in [Materialize] mode with
+(** [create ()] starts an empty builder in [Direct] mode with
     template stamping enabled ([templates] defaults to [true]). *)
 
 val mode : t -> mode
@@ -79,8 +78,11 @@ val stats : t -> Stats.t
 (** Exact structural statistics of the circuit built so far (all modes). *)
 
 val finalize : t -> Circuit.t
-(** Raises [Invalid_argument] in [Count_only] and [Direct] modes (lower a
-    Direct builder with {!Packed.of_arena} instead). *)
+(** The circuit built so far, gate by gate: raw gates as added, each
+    template instance expanded from its template, the gates of one
+    shared segment sharing one input array.  O(logical edges) — the
+    packed evaluators never need it.  Memoized until the builder
+    grows.  Raises [Invalid_argument] in [Count_only] mode. *)
 
 (** {2 Template stamping} *)
 

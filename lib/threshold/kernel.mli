@@ -39,8 +39,8 @@
       master is bounded by the baked span, so all outputs stay
       bit-identical to the generic path.
     - [Generic] falls back to the CSR accumulation loop (raw gate runs,
-      narrow leftovers, and anything compiled through
-      {!Packed.of_circuit}).
+      narrow leftovers, and everything lowered with
+      [Packed.of_arena ~kernels:false], {!Packed.of_circuit} included).
 
     Baked thresholds are safe because every kernel family reproduces
     the generic path's arithmetic exactly: {!Packed} only admits

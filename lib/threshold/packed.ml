@@ -1,4 +1,3 @@
-module Intvec = Tcmm_util.Intvec
 module Checked = Tcmm_util.Checked
 
 (* ------------------------------------------------------------------ *)
@@ -30,11 +29,6 @@ let ba32_create n : i32vec =
 let ba_of_array a =
   let b = ba_create (Array.length a) in
   Array.iteri (fun i x -> Bigarray.Array1.unsafe_set b i x) a;
-  b
-
-let ba32_of_array a =
-  let b = ba32_create (Array.length a) in
-  Array.iteri (fun i x -> Bigarray.Array1.unsafe_set b i (Int32.of_int x)) a;
   b
 
 (* Eta-expanded on purpose: a bare alias of the primitive is a closure
@@ -75,17 +69,13 @@ let check_wire_count name num_wires =
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  (* Lazy: arena-built circuits (Builder Direct mode) lower straight to
-     this packed form; the [Circuit.t] view is only materialized if a
-     consumer (Simulator, Validate, Export) actually asks for it. *)
-  circuit : Circuit.t Lazy.t;
   num_inputs : int;
   num_wires : int;
   num_gates : int;
   levels : int;
   (* Flat CSR edge pools.  Gates built through [Builder.add_shared_gates]
      physically share their input/weight arrays; consecutive gates (in
-     level order) sharing arrays collapse into one *segment*, so the
+     construction order) sharing arrays collapse into one *segment*, so the
      pools hold each shared array once — for the big matmul circuits
      this is ~250x smaller than the logical edge count.  Edges carry no
      weight of their own: every edge of a weight group has the group's
@@ -120,8 +110,8 @@ type t = {
   max_seg_gates : int;
   (* Per segment: the specialized batch evaluator compiled from the
      segment's template ([Kernel.Generic] = CSR fallback).  Empty when
-     kernels are disabled or the circuit was packed via [of_circuit] —
-     dispatch then always takes the generic path. *)
+     kernels are disabled ([of_arena ~kernels:false], hence
+     [of_circuit]) — dispatch then always takes the generic path. *)
   kern : Kernel.spec array;
   k_gates : int;  (* gates covered by a non-generic kernel *)
   k_segs : int;
@@ -174,158 +164,6 @@ let check_mass name ~seg_grp ~grp_off ~grp_weight =
            "Packed.%s: segment %d's weight mass does not fit a native int" name
            s)
 
-let of_circuit (c : Circuit.t) =
-  let num_inputs = c.Circuit.num_inputs in
-  let gates = c.Circuit.gates in
-  let ng = Array.length gates in
-  let num_wires = num_inputs + ng in
-  check_wire_count "of_circuit" num_wires;
-  let depths = c.Circuit.depths in
-  let levels = Array.fold_left max 0 depths in
-  (* Stable counting sort of gate ids by level (level l = depth l+1). *)
-  let counts = Array.make (levels + 1) 0 in
-  for g = 0 to ng - 1 do
-    let d = depths.(num_inputs + g) in
-    counts.(d) <- counts.(d) + 1
-  done;
-  (* lvl_start.(l) = first packed position of level l; sentinel at [levels]. *)
-  let lvl_start = Array.make (levels + 1) 0 in
-  for l = 0 to levels - 1 do
-    lvl_start.(l + 1) <- lvl_start.(l) + counts.(l + 1)
-  done;
-  let order = Array.make (max ng 1) 0 in
-  let cursor = Array.copy lvl_start in
-  for g = 0 to ng - 1 do
-    let l = depths.(num_inputs + g) - 1 in
-    order.(cursor.(l)) <- g;
-    cursor.(l) <- cursor.(l) + 1
-  done;
-  let pool_wires = Intvec.create ~capacity:1024 () in
-  let seg_off = Intvec.create () in
-  let seg_fan = Intvec.create () in
-  let seg_gates = Intvec.create () in
-  let seg_grp = Intvec.create () in
-  let grp_off = Intvec.create () in
-  let grp_weight = Intvec.create () in
-  let level_segs = Array.make (levels + 1) 0 in
-  let g_threshold = Array.make (max ng 1) 0 in
-  let g_wire = Array.make (max ng 1) 0 in
-  let max_seg_gates = ref 0 in
-  let p = ref 0 in
-  for l = 0 to levels - 1 do
-    level_segs.(l) <- Intvec.length seg_off;
-    let level_end = lvl_start.(l + 1) in
-    while !p < level_end do
-      let g0 = order.(!p) in
-      let gate0 = gates.(g0) in
-      Intvec.push seg_off (Intvec.length pool_wires);
-      Intvec.push seg_fan (Array.length gate0.Gate.inputs);
-      Intvec.push seg_gates !p;
-      Intvec.push seg_grp (Intvec.length grp_weight);
-      (* Push the segment's edges grouped by weight value (stable within
-         a group, groups ordered by first appearance). *)
-      let ins = gate0.Gate.inputs and wts = gate0.Gate.weights in
-      let fan = Array.length ins in
-      let gid = Array.make (max fan 1) 0 in
-      let tbl = Hashtbl.create 8 in
-      let gcount = ref 0 in
-      for i = 0 to fan - 1 do
-        match Hashtbl.find_opt tbl wts.(i) with
-        | Some g -> gid.(i) <- g
-        | None ->
-            Hashtbl.add tbl wts.(i) !gcount;
-            gid.(i) <- !gcount;
-            incr gcount
-      done;
-      let gcount = !gcount in
-      let sizes = Array.make (max gcount 1) 0 in
-      for i = 0 to fan - 1 do
-        sizes.(gid.(i)) <- sizes.(gid.(i)) + 1
-      done;
-      let base = Intvec.length pool_wires in
-      let starts = Array.make (max gcount 1) 0 in
-      let acc = ref 0 in
-      for g = 0 to gcount - 1 do
-        starts.(g) <- !acc;
-        acc := !acc + sizes.(g)
-      done;
-      let gw = Array.make (max gcount 1) 0 in
-      let perm = Array.make (max fan 1) 0 in
-      let cur = Array.copy starts in
-      for i = 0 to fan - 1 do
-        let g = gid.(i) in
-        gw.(g) <- wts.(i);
-        perm.(cur.(g)) <- i;
-        cur.(g) <- cur.(g) + 1
-      done;
-      for j = 0 to fan - 1 do
-        let i = perm.(j) in
-        Intvec.push pool_wires ins.(i)
-      done;
-      for g = 0 to gcount - 1 do
-        Intvec.push grp_off (base + starts.(g));
-        Intvec.push grp_weight gw.(g)
-      done;
-      (* Extend the segment over consecutive gates that physically share
-         the input/weight arrays (they necessarily sit at the same
-         depth, so the level boundary is respected automatically — but
-         we re-check it to stay robust to exotic circuits). *)
-      let q = ref (!p + 1) in
-      while
-        !q < level_end
-        && gates.(order.(!q)).Gate.inputs == gate0.Gate.inputs
-        && gates.(order.(!q)).Gate.weights == gate0.Gate.weights
-      do
-        incr q
-      done;
-      let k = !q - !p in
-      if k > !max_seg_gates then max_seg_gates := k;
-      let pairs =
-        Array.init k (fun i ->
-            let g = order.(!p + i) in
-            (gates.(g).Gate.threshold, num_inputs + g))
-      in
-      Array.sort (fun (a, _) (b, _) -> compare (a : int) b) pairs;
-      for i = 0 to k - 1 do
-        let th, w = pairs.(i) in
-        g_threshold.(!p + i) <- th;
-        g_wire.(!p + i) <- w
-      done;
-      p := !q
-    done
-  done;
-  level_segs.(levels) <- Intvec.length seg_off;
-  Intvec.push seg_gates ng;
-  Intvec.push seg_grp (Intvec.length grp_weight);
-  Intvec.push grp_off (Intvec.length pool_wires);
-  let seg_grp = Intvec.to_array seg_grp and grp_off = Intvec.to_array grp_off in
-  let grp_weight = Intvec.to_array grp_weight in
-  check_mass "of_circuit" ~seg_grp ~grp_off ~grp_weight;
-  {
-    circuit = Lazy.from_val c;
-    num_inputs;
-    num_wires;
-    num_gates = ng;
-    levels;
-    pool_wires = ba32_of_array (Intvec.to_array pool_wires);
-    seg_off = Intvec.to_array seg_off;
-    seg_fan = Intvec.to_array seg_fan;
-    seg_gates = Intvec.to_array seg_gates;
-    seg_grp;
-    grp_off;
-    grp_weight;
-    level_segs;
-    g_threshold = ba_of_array g_threshold;
-    g_wire = ba32_of_array g_wire;
-    outputs = c.Circuit.outputs;
-    max_seg_gates = !max_seg_gates;
-    kern = [||];
-    k_gates = 0;
-    k_segs = 0;
-    fanout = None;
-  }
-
-let circuit t = Lazy.force t.circuit
 let num_gates t = t.num_gates
 let num_levels t = t.levels
 let num_segments t = Array.length t.seg_off
@@ -352,53 +190,19 @@ let coverage t =
 (* Direct lowering from a builder arena                               *)
 (* ------------------------------------------------------------------ *)
 
-(* [of_arena] produces the same packed form as
-   [of_circuit (materialized arena)] without ever materializing the
-   per-gate [Circuit.t]: each template carries a precomputed lowering
-   plan (weight grouping, edge permutation, threshold sort — see
-   [Template.lower_plan]) that is replayed per instance by offset
-   arithmetic.  Items appear in construction order and wire ids grow
-   monotonically with it, so appending each segment to its level
-   reproduces exactly the stable level-major order of [of_circuit]. *)
+(* Each template carries a precomputed lowering plan (weight grouping,
+   edge permutation, threshold sort — see [Template.lower_plan]) that is
+   replayed per instance by offset arithmetic; a raw-gate run is planned
+   once, segment by segment ([Template.raw_psegs]).  Items appear in
+   construction order and wire ids grow monotonically with it, so
+   appending each segment to its level gives a stable level-major
+   order. *)
 
-(* Materialize the gate array of an arena (only reached through the lazy
-   [circuit] field; the packed evaluators never need it). *)
-let gates_of_arena (a : Builder.arena) =
-  let num_inputs = a.Builder.a_num_inputs in
-  let ng = a.Builder.a_num_gates in
-  let dummy = Gate.make ~inputs:[||] ~weights:[||] ~threshold:0 in
-  let gates = Array.make (max ng 1) dummy in
-  Array.iter
-    (function
-      | Builder.A_raw { gate0; gv0; count } ->
-          Array.blit a.Builder.a_raw gv0 gates (gate0 - num_inputs) count
-      | Builder.A_inst { tpl; wire0; slots } ->
-          let nsegs = Array.length tpl.Template.seg_start - 1 in
-          for s = 0 to nsegs - 1 do
-            let g0 = tpl.Template.seg_start.(s) in
-            let gend = tpl.Template.seg_start.(s + 1) in
-            let off = tpl.Template.seg_off.(s) in
-            let fan = tpl.Template.seg_off.(s + 1) - off in
-            let ins =
-              Array.init fan (fun i ->
-                  let r = tpl.Template.s_refs.(off + i) in
-                  if r >= 0 then wire0 + r else slots.(-r - 1))
-            in
-            let weights = tpl.Template.s_weights.(s) in
-            for g = g0 to gend - 1 do
-              gates.(wire0 - num_inputs + g) <-
-                Gate.make ~inputs:ins ~weights
-                  ~threshold:tpl.Template.g_threshold.(g)
-            done
-          done)
-    a.Builder.a_items;
-  if ng = 0 then [||] else gates
-
-let of_arena ?(kernels = true) (a : Builder.arena) =
+let lower ~name ~kernels (a : Builder.arena) =
   let num_inputs = a.Builder.a_num_inputs in
   let ng = a.Builder.a_num_gates in
   let num_wires = a.Builder.a_num_wires in
-  check_wire_count "of_arena" num_wires;
+  check_wire_count name num_wires;
   let depths = a.Builder.a_depths in
   let levels = a.Builder.a_levels in
   let items = a.Builder.a_items in
@@ -448,15 +252,15 @@ let of_arena ?(kernels = true) (a : Builder.arena) =
   let nedges = lvl_edge0.(levels) in
   assert (lvl_gate0.(levels) = ng);
   let pool_wires = ba32_create nedges in
-  let seg_off = Array.make (max nsegs 1) 0 in
-  let seg_fan = Array.make (max nsegs 1) 0 in
+  let seg_off = Array.make nsegs 0 in
+  let seg_fan = Array.make nsegs 0 in
   let seg_gates = Array.make (nsegs + 1) 0 in
   let seg_grp = Array.make (nsegs + 1) 0 in
   let grp_off = Array.make (ngroups + 1) 0 in
-  let grp_weight = Array.make (max ngroups 1) 0 in
+  let grp_weight = Array.make ngroups 0 in
   let g_threshold = ba_create ng in
   let g_wire = ba32_create ng in
-  let kern = if kernels then Array.make (max nsegs 1) Kernel.Generic else [||] in
+  let kern = if kernels then Array.make nsegs Kernel.Generic else [||] in
   let k_gates = ref 0 and k_segs = ref 0 in
   (* Resolve segment [ps]'s refs into the edge pool at [e] and blit its
      thresholds at packed gate [p]. *)
@@ -536,12 +340,8 @@ let of_arena ?(kernels = true) (a : Builder.arena) =
   seg_gates.(nsegs) <- ng;
   seg_grp.(nsegs) <- ngroups;
   grp_off.(ngroups) <- nedges;
-  check_mass "of_arena" ~seg_grp ~grp_off ~grp_weight;
+  check_mass name ~seg_grp ~grp_off ~grp_weight;
   {
-    circuit =
-      lazy
-        (Circuit.make ~num_inputs ~gates:(gates_of_arena a)
-           ~outputs:a.Builder.a_outputs);
     num_inputs;
     num_wires;
     num_gates = ng;
@@ -563,6 +363,25 @@ let of_arena ?(kernels = true) (a : Builder.arena) =
     k_segs = !k_segs;
     fanout = None;
   }
+
+let of_arena ?(kernels = true) a = lower ~name:"of_arena" ~kernels a
+
+(* A hand-made circuit is one raw-gate run: the arena a Direct builder
+   would log had it added the same gates one by one. *)
+let of_circuit (c : Circuit.t) =
+  let num_inputs = c.Circuit.num_inputs in
+  let ng = Circuit.num_gates c in
+  lower ~name:"of_circuit" ~kernels:false
+    {
+      Builder.a_num_inputs = num_inputs;
+      a_num_wires = num_inputs + ng;
+      a_num_gates = ng;
+      a_levels = Array.fold_left max 0 c.Circuit.depths;
+      a_depths = c.Circuit.depths;
+      a_items = [| Builder.A_raw { gate0 = num_inputs; gv0 = 0; count = ng } |];
+      a_raw = c.Circuit.gates;
+      a_outputs = c.Circuit.outputs;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Single-vector evaluation                                           *)
@@ -1822,7 +1641,7 @@ let load ?(recompile = false) s =
       end
       else
         (* An empty section means the circuit was packed without kernel
-           dispatch (of_circuit, or of_arena ~kernels:false) — reproduce
+           dispatch (of_arena ~kernels:false, or of_circuit) — reproduce
            that faithfully rather than inventing kernels the original
            never had. *)
         [||]
@@ -1837,11 +1656,6 @@ let load ?(recompile = false) s =
             incr k_segs)
       kern;
     {
-      circuit =
-        lazy
-          (failwith
-             "Packed.circuit: the explicit circuit view is not persisted; \
-              rebuild from the spec to materialize it");
       num_inputs;
       num_wires;
       num_gates = ng;

@@ -2,7 +2,8 @@
 
     {!Simulator.run} interprets one {!Gate.t} at a time, chasing a heap
     pointer per gate and re-reading shared input arrays once per gate.
-    This module compiles a {!Circuit.t} into a flat CSR-style form and
+    This module lowers a builder's arena ({!of_arena}) — or a hand-made
+    {!Circuit.t} ({!of_circuit}) — into a flat CSR-style form and
     exploits two structural properties of the paper's constructions:
 
     - {b Levelization}: the builder tracks per-wire depths, so gates
@@ -40,18 +41,11 @@ type t
 (** A compiled circuit. *)
 
 val of_circuit : Circuit.t -> t
-(** Compile.  Costs one pass over the gates plus one over the (deduped)
-    edges; memory is proportional to the {i unique} edge storage, not
-    the logical edge count.  Raises [Invalid_argument] on a circuit
-    with more than [2^31] wires (wire ids are stored in 32 bits) or
-    with a segment whose positive or negative weight mass exceeds
-    [max_int] (see the arithmetic bound above). *)
-
-val circuit : t -> Circuit.t
-(** The per-gate view.  For {!of_circuit}-compiled values this is the
-    original circuit; for {!of_arena}-compiled values it is materialized
-    lazily on first call (Simulator / Validate / Export consumers only —
-    the packed evaluators never force it). *)
+(** Compile a hand-made circuit: {!of_arena} [~kernels:false] of the
+    arena holding its gates as one raw run, so wire-consecutive gates
+    that physically share their input/weight arrays form one segment.
+    Costs one pass over the gates plus one over the (deduped) edges.
+    Raises [Invalid_argument] like {!of_arena}. *)
 
 val num_gates : t -> int
 
@@ -67,13 +61,14 @@ val pool_edges : t -> int
 
 val of_arena : ?kernels:bool -> Builder.arena -> t
 (** Lower a [Builder Direct]-mode arena straight to the packed form,
-    skipping the per-gate [Circuit.t] walk of {!of_circuit}: template
-    instances replay their precomputed lowering plans by offset
-    arithmetic, so the cost is proportional to the {i pooled} edge
-    count, not the logical one.  The result is identical to
-    [of_circuit] applied to the materialized circuit.  Raises
-    [Invalid_argument], like {!of_circuit}, past [2^31] wires or past
-    the weight-mass bound.
+    never expanding the per-gate [Circuit.t]: template instances replay
+    their precomputed lowering plans by offset arithmetic, so the cost
+    is proportional to the {i pooled} edge count, not the logical one;
+    raw-gate runs are planned once.  Memory is proportional to the
+    {i unique} edge storage.  Raises [Invalid_argument] on more than
+    [2^31] wires (wire ids are stored in 32 bits) or on a segment whose
+    positive or negative weight mass exceeds [max_int] (see the
+    arithmetic bound above).
 
     [kernels] (default [true]) dispatches each template segment to its
     specialized batch evaluator ({!Kernel.compile}); [~kernels:false]
@@ -99,7 +94,8 @@ val run : t -> bool array -> Simulator.result
     one byte per wire, and each segment's sum taken one weight group at
     a time (a branch-free count of the group's set wires, then one
     multiply by its weight).  The result is bit-identical to
-    [Simulator.run (circuit t) inputs] in every field. *)
+    {!Simulator.run} on the circuit [t] was lowered from
+    ([Builder.finalize] of the arena's builder) in every field. *)
 
 (** {1 Incremental evaluation}
 
@@ -291,11 +287,9 @@ val load : ?recompile:bool -> sections -> (t, string) result
     every evaluator entry point is memory-safe and wrap-free even if
     the sections were corrupt in ways a checksum would miss.  The
     weight masses are recomputed from the sections (O(groups)), not
-    read from a stored figure that could be forged along with them.
-    {!circuit} raises on a loaded [t] — the explicit gate list is not
-    persisted. *)
+    read from a stored figure that could be forged along with them. *)
 
 val structural_equal : t -> t -> bool
 (** Field-for-field equality of the packed representation (pools,
     tables, kernel dispatch, coverage) — the round-trip identity the
-    store's tests assert.  Ignores the lazy circuit view. *)
+    store's tests assert. *)

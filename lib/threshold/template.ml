@@ -74,8 +74,8 @@ type plan = {
 
 (* Lowering plan for one segment (a run of gates physically sharing
    input/weight arrays): the weight grouping, edge permutation and
-   threshold sort that [Packed.of_circuit] derives per segment per
-   circuit are computed once per template and replayed per instance. *)
+   threshold sort are computed once per template and replayed by
+   [Packed.of_arena] per instance. *)
 type pseg = {
   q_gate0 : int;  (* first gate (template index; absolute wire for raw) *)
   q_count : int;
@@ -146,7 +146,7 @@ let capture ~wire0 ~inputs ~(gates : Gate.t array) ~outs ~meta =
     edges := !edges + fan;
     (* A new segment starts unless this gate physically shares its
        input/weight arrays with the previous one — the same run
-       detection [Packed.of_circuit] performs.  Only the segment leader's
+       detection [raw_psegs] performs.  Only the segment leader's
        refs are encoded, keeping capture (and the template's footprint)
        proportional to the block's *physical* edges; followers read the
        same shared array. *)
@@ -231,11 +231,11 @@ let plan t ~slot_depths =
 (* Lowering plans                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Weight-group one segment exactly like [Packed.of_circuit]: edges
-   grouped by weight value, stable within a group, groups ordered by
-   first appearance; thresholds sorted ascending with the same
-   (comparator, algorithm) pair so the packed layout is reproduced
-   bit-for-bit. *)
+(* The one weight grouping of the packed form, for template segments
+   and raw runs alike: edges grouped by weight value, stable within a
+   group, groups ordered by first appearance; thresholds sorted
+   ascending (ties in [Array.sort]'s order, which the stored artifacts
+   pin). *)
 let make_pseg ~kern ~gate0 ~count ~refs ~weights ~thresholds ~th_gates =
   let fan = Array.length refs in
   let gid = Array.make (max fan 1) 0 in

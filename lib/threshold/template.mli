@@ -35,8 +35,8 @@ type plan = {
 }
 
 (** Per-segment lowering plan: the weight grouping, edge permutation and
-    threshold sort that [Packed.of_circuit] derives per segment are
-    precomputed once per template and replayed per instance. *)
+    threshold sort of one segment, precomputed once per template (or
+    raw-gate run) and replayed by [Packed.of_arena] per instance. *)
 type pseg = {
   q_gate0 : int;  (** first gate — template index (absolute wire for raw runs) *)
   q_count : int;

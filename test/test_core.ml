@@ -422,7 +422,10 @@ let test_trace_count_only_matches () =
   S.check_int "gates" s1.Stats.gates s2.Stats.gates;
   S.check_int "edges" s1.Stats.edges s2.Stats.edges;
   S.check_int "depth" s1.Stats.depth s2.Stats.depth;
-  S.check_bool "no circuit in count mode" true (m2.Trace_circuit.circuit = None)
+  S.check_bool "no circuit in count mode" true
+    (match Trace_circuit.circuit m2 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_trace_value_output () =
   (* build_with_value emits canonical sign/magnitude outputs for the
@@ -438,19 +441,17 @@ let test_trace_value_output () =
           ~schedule:(Level_schedule.full ~l:2) ~signed_inputs:signed ~entry_bits:2
           ~tau:expect ~n:4 ()
       in
-      match built.Trace_circuit.circuit with
-      | None -> Alcotest.fail "expected circuit"
-      | Some c ->
-          let input = Trace_circuit.encode_input built m in
-          let r = Tcmm_threshold.Simulator.run ~check:true c input in
-          let read = Tcmm_threshold.Simulator.value r in
-          S.check_bool
-            (Printf.sprintf "sign (trace=%d)" expect)
-            (expect < 0)
-            (read norm.Tcmm_arith.Binary.sign_negative);
-          S.check_int "magnitude" (abs expect)
-            (Repr.eval_bits read norm.Tcmm_arith.Binary.magnitude);
-          S.check_bool "threshold output still present" true r.Tcmm_threshold.Simulator.outputs.(0))
+      let c = Trace_circuit.circuit built in
+      let input = Trace_circuit.encode_input built m in
+      let r = Tcmm_threshold.Simulator.run ~check:true c input in
+      let read = Tcmm_threshold.Simulator.value r in
+      S.check_bool
+        (Printf.sprintf "sign (trace=%d)" expect)
+        (expect < 0)
+        (read norm.Tcmm_arith.Binary.sign_negative);
+      S.check_int "magnitude" (abs expect)
+        (Repr.eval_bits read norm.Tcmm_arith.Binary.magnitude);
+      S.check_bool "threshold output still present" true r.Tcmm_threshold.Simulator.outputs.(0))
     [ false; true ]
 
 let test_trace_staged_matches_reference () =
@@ -605,6 +606,10 @@ let test_tiled_round_up () =
   S.check_int "up" 12 (Tiled_matmul.round_up 9 ~block:4);
   S.check_int "one" 4 (Tiled_matmul.round_up 1 ~block:4)
 
+(* Both engines: the packed lowering of the default (Direct) build and
+   the reference interpreter on the circuit its builder expands. *)
+let engines = [ Simulator.Packed; Simulator.Reference ]
+
 let check_tiled ~rows ~inner ~cols ~schedule ~entry_bits ~signed ~seed () =
   let rng = Prng.create ~seed in
   let lo = if signed then -((1 lsl entry_bits) - 1) else 0 in
@@ -615,8 +620,11 @@ let check_tiled ~rows ~inner ~cols ~schedule ~entry_bits ~signed ~seed () =
     Tiled_matmul.build ~algo:strassen ~schedule ~signed_inputs:signed ~entry_bits ~rows
       ~inner ~cols ()
   in
-  S.check_bool "C = A*B" true
-    (Matrix.equal (Tiled_matmul.run built ~a ~b) (Matrix.mul a b))
+  List.iter
+    (fun engine ->
+      S.check_bool "C = A*B" true
+        (Matrix.equal (Tiled_matmul.run ~engine built ~a ~b) (Matrix.mul a b)))
+    engines
 
 let test_tiled_square () =
   check_tiled ~rows:8 ~inner:8 ~cols:8 ~schedule:(Level_schedule.full ~l:2)
@@ -686,8 +694,13 @@ let test_naive_triangle_matches_reference () =
     let adj = Tcmm_graph.Graph.adjacency g in
     let hit = Naive_circuits.triangle_threshold ~n:8 ~tau:count () in
     let miss = Naive_circuits.triangle_threshold ~n:8 ~tau:(count + 1) () in
-    S.check_bool "tau = count fires" true (Naive_circuits.triangle_run hit adj);
-    S.check_bool "tau = count+1 does not" false (Naive_circuits.triangle_run miss adj)
+    List.iter
+      (fun engine ->
+        S.check_bool "tau = count fires" true
+          (Naive_circuits.triangle_run ~engine hit adj);
+        S.check_bool "tau = count+1 does not" false
+          (Naive_circuits.triangle_run ~engine miss adj))
+      engines
   done
 
 let test_naive_triangle_size_and_depth () =
@@ -718,8 +731,12 @@ let test_naive_trace_matches_reference () =
   let built =
     Naive_circuits.trace_threshold ~signed_inputs:true ~entry_bits:2 ~tau:expect ~n:3 ()
   in
-  S.check_int "value" expect (Naive_circuits.trace_value built m);
-  S.check_bool "fires at boundary" true (Naive_circuits.trace_run built m);
+  List.iter
+    (fun engine ->
+      S.check_int "value" expect (Naive_circuits.trace_value ~engine built m);
+      S.check_bool "fires at boundary" true
+        (Naive_circuits.trace_run ~engine built m))
+    engines;
   let st = Builder.stats built.Naive_circuits.builder in
   S.check_int "depth 2" 2 st.Stats.depth
 
@@ -728,8 +745,13 @@ let test_naive_matmul_matches () =
   let a = Matrix.random rng ~rows:3 ~cols:3 ~lo:(-3) ~hi:3 in
   let b = Matrix.random rng ~rows:3 ~cols:3 ~lo:(-3) ~hi:3 in
   let built = Naive_circuits.matmul ~signed_inputs:true ~entry_bits:2 ~n:3 () in
-  S.check_bool "C = A*B" true
-    (Matrix.equal (Naive_circuits.matmul_run built ~a ~b) (Matrix.mul a b));
+  List.iter
+    (fun engine ->
+      S.check_bool "C = A*B" true
+        (Matrix.equal
+           (Naive_circuits.matmul_run ~engine built ~a ~b)
+           (Matrix.mul a b)))
+    engines;
   let st = Builder.stats built.Naive_circuits.builder in
   S.check_int "depth 3" 3 st.Stats.depth
 

@@ -157,13 +157,11 @@ let prop_export_spike_roundtrip =
         Trace_circuit.build ~algo:strassen ~schedule:(Level_schedule.full ~l:2)
           ~entry_bits:1 ~tau:(Prng.int_range rng ~lo:0 ~hi:20) ~n:4 ()
       in
-      match built.Trace_circuit.circuit with
-      | None -> false
-      | Some c ->
-          let reloaded = Export.of_netlist (Export.to_netlist c) in
-          let input = Trace_circuit.encode_input built m in
-          let _, spiked = Spiking.settle reloaded input in
-          spiked = Simulator.read_outputs c input)
+      let c = Trace_circuit.circuit built in
+      let reloaded = Export.of_netlist (Export.to_netlist c) in
+      let input = Trace_circuit.encode_input built m in
+      let _, spiked = Spiking.settle reloaded input in
+      spiked = Simulator.read_outputs c input)
 
 let prop_prune_keeps_matmul_exact =
   S.qcheck_case ~count:10 "pruned matmul circuit still computes the product"
@@ -176,18 +174,16 @@ let prop_prune_keeps_matmul_exact =
         Matmul_circuit.build ~algo:strassen ~schedule:(Level_schedule.full ~l:2)
           ~signed_inputs:true ~entry_bits:2 ~n:4 ()
       in
-      match built.Matmul_circuit.circuit with
-      | None -> false
-      | Some c ->
-          let { Transform.circuit = pruned; wire_map } = Transform.prune c in
-          let input = Matmul_circuit.encode_inputs built ~a ~b in
-          let r = Simulator.run pruned input in
-          let read w = Simulator.value r wire_map.(w) in
-          let decoded =
-            Matrix.init ~rows:4 ~cols:4 (fun i j ->
-                Tcmm_arith.Repr.eval_sbits read built.Matmul_circuit.c_grid.(i).(j))
-          in
-          Matrix.equal decoded (Matrix.mul a b))
+      let c = Matmul_circuit.circuit built in
+      let { Transform.circuit = pruned; wire_map } = Transform.prune c in
+      let input = Matmul_circuit.encode_inputs built ~a ~b in
+      let r = Simulator.run pruned input in
+      let read w = Simulator.value r wire_map.(w) in
+      let decoded =
+        Matrix.init ~rows:4 ~cols:4 (fun i j ->
+            Tcmm_arith.Repr.eval_sbits read built.Matmul_circuit.c_grid.(i).(j))
+      in
+      Matrix.equal decoded (Matrix.mul a b))
 
 let prop_energy_deterministic =
   S.qcheck_case ~count:10 "simulation and firing counts are deterministic"
@@ -199,14 +195,12 @@ let prop_energy_deterministic =
         Trace_circuit.build ~algo:strassen ~schedule:(Level_schedule.full ~l:2)
           ~entry_bits:1 ~tau:3 ~n:4 ()
       in
-      match built.Trace_circuit.circuit with
-      | None -> false
-      | Some c ->
-          let input = Trace_circuit.encode_input built m in
-          let r1 = Simulator.run c input and r2 = Simulator.run c input in
-          r1.Simulator.firings = r2.Simulator.firings
-          && r1.Simulator.firings <= Circuit.num_gates c
-          && r1.Simulator.outputs = r2.Simulator.outputs)
+      let c = Trace_circuit.circuit built in
+      let input = Trace_circuit.encode_input built m in
+      let r1 = Simulator.run c input and r2 = Simulator.run c input in
+      r1.Simulator.firings = r2.Simulator.firings
+      && r1.Simulator.firings <= Circuit.num_gates c
+      && r1.Simulator.outputs = r2.Simulator.outputs)
 
 let prop_validate_clean_constructions =
   S.qcheck_case ~count:10 "constructed circuits pass structural validation"
@@ -219,16 +213,14 @@ let prop_validate_clean_constructions =
         Trace_circuit.build ~algo:strassen ~schedule ~signed_inputs:signed ~share_top
           ~entry_bits ~tau:1 ~n ()
       in
-      match built.Trace_circuit.circuit with
-      | None -> false
-      | Some c ->
-          (* Our constructors never emit error-severity issues (dangling
-             wires, duplicate inputs, zero weights); warnings such as
-             constant gates can legitimately appear near the threshold
-             comparator. *)
-          List.for_all
-            (fun issue -> Validate.severity issue = `Warning)
-            (Validate.check c))
+      let c = Trace_circuit.circuit built in
+      (* Our constructors never emit error-severity issues (dangling
+         wires, duplicate inputs, zero weights); warnings such as
+         constant gates can legitimately appear near the threshold
+         comparator. *)
+      List.for_all
+        (fun issue -> Validate.severity issue = `Warning)
+        (Validate.check c))
 
 let () =
   Alcotest.run "tcmm_integration"

@@ -222,7 +222,7 @@ let test_warm_load_coverage () =
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures: one trace circuit (template kernels), one matmul         *)
-(* (materialized, no kernels — the empty kernel-index case)          *)
+(* (lowered without kernels — the empty kernel-index case)           *)
 (* ------------------------------------------------------------------ *)
 
 let trace_fixture =
@@ -264,10 +264,13 @@ let matmul_fixture =
   lazy
     (let schedule = T.Level_schedule.full ~l:1 in
      let built =
-       T.Matmul_circuit.build ~mode:Th.Builder.Materialize ~algo:strassen
-         ~schedule ~signed_inputs:false ~entry_bits:2 ~n:2 ()
+       T.Matmul_circuit.build ~algo:strassen ~schedule ~signed_inputs:false
+         ~entry_bits:2 ~n:2 ()
      in
-     let packed = T.Matmul_circuit.pack built in
+     let packed =
+       Th.Packed.of_arena ~kernels:false
+         (Th.Builder.arena built.T.Matmul_circuit.builder)
+     in
      let io =
        A.Matmul_io
          {
@@ -496,7 +499,7 @@ let test_matmul_round_trip () =
   | Error m -> Alcotest.failf "read failed: %s" m
   | Ok a ->
       let loaded = a.A.a_packed in
-      (* A materialized, kernels-off circuit has an empty kernel table;
+      (* A circuit lowered without kernels has an empty kernel table;
          the artifact must reproduce that faithfully, not invent
          kernels on load. *)
       S.check_bool "structural identity (empty kernel index)" true

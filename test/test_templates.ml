@@ -31,11 +31,11 @@ let check_circuit_equal label (a : Circuit.t) (b : Circuit.t) =
     a.Circuit.gates;
   Alcotest.(check (array int)) (label ^ ": depths") a.Circuit.depths b.Circuit.depths
 
-let build_matmul ~mode ~templates ~sched ~n =
-  Matmul_circuit.build ~mode ~templates ~algo:strassen ~schedule:sched
+let build_matmul ?mode ~templates ~sched ~n () =
+  Matmul_circuit.build ?mode ~templates ~algo:strassen ~schedule:sched
     ~entry_bits:1 ~n ()
 
-(* Tentpole invariant: with templates on, the materialized circuit is
+(* Tentpole invariant: with templates on, the expanded circuit is
    byte-identical to the legacy builder's, across all four standard
    schedules at N in {4, 8}. *)
 let test_matmul_stamped_identical () =
@@ -47,14 +47,14 @@ let test_matmul_stamped_identical () =
             (fun name ->
               let sched = Level_schedule.resolve ~algo ~name ~d:2 ~n in
               let build templates =
-                Matmul_circuit.build ~mode:Builder.Materialize ~templates ~algo
-                  ~schedule:sched ~entry_bits:1 ~n ()
+                Matmul_circuit.build ~templates ~algo ~schedule:sched
+                  ~entry_bits:1 ~n ()
               in
               let legacy = build false and stamped = build true in
               check_circuit_equal
                 (Printf.sprintf "matmul %s N=%d %s" algo.Bilinear.name n name)
-                (Option.get legacy.Matmul_circuit.circuit)
-                (Option.get stamped.Matmul_circuit.circuit))
+                (Matmul_circuit.circuit legacy)
+                (Matmul_circuit.circuit stamped))
             Level_schedule.standard_names)
         sizes)
     [ (strassen, [ 4; 8 ]); (Instances.laderman, [ 3; 9 ]) ]
@@ -65,38 +65,25 @@ let test_trace_stamped_identical () =
       let n = 4 in
       let sched = schedule ~name ~n in
       let build templates =
-        Trace_circuit.build ~mode:Builder.Materialize ~templates ~algo:strassen
-          ~schedule:sched ~entry_bits:1 ~tau:(n * n) ~n ()
+        Trace_circuit.build ~templates ~algo:strassen ~schedule:sched
+          ~entry_bits:1 ~tau:(n * n) ~n ()
       in
       let legacy = build false and stamped = build true in
       check_circuit_equal
         (Printf.sprintf "trace N=4 %s" name)
-        (Option.get legacy.Trace_circuit.circuit)
-        (Option.get stamped.Trace_circuit.circuit))
+        (Trace_circuit.circuit legacy)
+        (Trace_circuit.circuit stamped))
     Level_schedule.standard_names
 
-(* Direct mode: the packed form's lazily materialized Circuit.t must
-   equal the legacy circuit too — the arena lowering and the gate
-   materialization agree. *)
-let test_direct_lazy_circuit_identical () =
-  let n = 4 in
-  let sched = schedule ~name:"thm45" ~n in
-  let legacy = build_matmul ~mode:Builder.Materialize ~templates:false ~sched ~n in
-  let direct = build_matmul ~mode:Builder.Direct ~templates:true ~sched ~n in
-  let packed = Matmul_circuit.pack direct in
-  check_circuit_equal "direct lazy circuit"
-    (Option.get legacy.Matmul_circuit.circuit)
-    (Packed.circuit packed)
-
-(* Stats agree between all modes with templates on and off. *)
+(* Stats agree between both modes with templates on and off. *)
 let test_count_only_stats_equal () =
   List.iter
     (fun n ->
       let sched = schedule ~name:"thm45" ~n in
       let stats mode templates =
-        Builder.stats (build_matmul ~mode ~templates ~sched ~n).Matmul_circuit.builder
+        Builder.stats (build_matmul ~mode ~templates ~sched ~n ()).Matmul_circuit.builder
       in
-      let reference = stats Builder.Materialize false in
+      let reference = stats Builder.Direct false in
       List.iter
         (fun (mode, templates) ->
           Alcotest.(check bool)
@@ -104,29 +91,31 @@ let test_count_only_stats_equal () =
             true
             (stats mode templates = reference))
         [
-          (Builder.Materialize, true);
           (Builder.Count_only, false);
           (Builder.Count_only, true);
           (Builder.Direct, true);
         ])
     [ 4; 8 ]
 
-(* Stamped circuits compute the right answer end-to-end, in both
-   Materialize and Direct modes. *)
+(* Stamped and legacy circuits compute the right answer end-to-end, on
+   both engines. *)
 let test_stamped_run_agrees () =
   let rng = Prng.create ~seed:7 in
   let n = 4 in
   let sched = schedule ~name:"thm45" ~n in
-  let stamped = build_matmul ~mode:Builder.Materialize ~templates:true ~sched ~n in
-  let direct = build_matmul ~mode:Builder.Direct ~templates:true ~sched ~n in
+  let legacy = build_matmul ~templates:false ~sched ~n () in
+  let stamped = build_matmul ~templates:true ~sched ~n () in
   for _ = 1 to 5 do
     let a = Matrix.random rng ~rows:n ~cols:n ~lo:0 ~hi:1 in
     let b = Matrix.random rng ~rows:n ~cols:n ~lo:0 ~hi:1 in
     let expect = Matrix.mul a b in
-    Alcotest.(check bool) "stamped run" true
-      (Matrix.equal (Matmul_circuit.run stamped ~a ~b) expect);
-    Alcotest.(check bool) "direct run" true
-      (Matrix.equal (Matmul_circuit.run direct ~a ~b) expect)
+    List.iter
+      (fun engine ->
+        Alcotest.(check bool) "legacy run" true
+          (Matrix.equal (Matmul_circuit.run ~engine legacy ~a ~b) expect);
+        Alcotest.(check bool) "stamped run" true
+          (Matrix.equal (Matmul_circuit.run ~engine stamped ~a ~b) expect))
+      [ Simulator.Packed; Simulator.Reference ]
   done
 
 (* The naive and tiled families route through the same template layer;
@@ -224,7 +213,9 @@ let test_kernel_differential () =
                      (Matrix.mul a b))
               done;
               if n <= 4 then begin
-                let r = Simulator.run (Packed.circuit p_k) inputs.(0) in
+                let r =
+                  Simulator.run (Matmul_circuit.circuit built_k) inputs.(0)
+                in
                 Alcotest.(check bool)
                   (label ^ ": Simulator agrees with kernel lane 0")
                   true
@@ -403,8 +394,6 @@ let () =
             test_matmul_stamped_identical;
           Alcotest.test_case "trace stamped = legacy" `Quick
             test_trace_stamped_identical;
-          Alcotest.test_case "direct lazy circuit" `Quick
-            test_direct_lazy_circuit_identical;
         ] );
       ( "stats",
         [

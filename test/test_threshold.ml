@@ -403,28 +403,26 @@ let test_energy_levels_match_simulator () =
                 Tcmm.Matmul_circuit.build ~templates ~algo ~schedule
                   ~entry_bits:1 ~n ()
               in
-              match built.Tcmm.Matmul_circuit.circuit with
-              | None -> Alcotest.fail (ctx ^ ": expected a materialized circuit")
-              | Some c ->
-                  Energy.random_inputs rng ~num_inputs:c.Circuit.num_inputs
-                    ~samples:2
-                  |> List.iter (fun input ->
-                         let r = Simulator.run c input in
-                         let s = Energy.measure c [ input ] in
-                         S.check_int (ctx ^ ": total firings")
-                           r.Simulator.firings s.Energy.min_firings;
-                         S.check_int (ctx ^ ": max = min at one sample")
-                           s.Energy.min_firings s.Energy.max_firings;
-                         S.check_int (ctx ^ ": level count")
-                           (Array.length r.Simulator.level_firings)
-                           (Array.length s.Energy.mean_level_firings);
-                         Array.iteri
-                           (fun lvl expect ->
-                             S.check_int
-                               (Printf.sprintf "%s: level %d firings" ctx lvl)
-                               expect
-                               (int_of_float s.Energy.mean_level_firings.(lvl)))
-                           r.Simulator.level_firings))
+              let c = Tcmm.Matmul_circuit.circuit built in
+              Energy.random_inputs rng ~num_inputs:c.Circuit.num_inputs
+                ~samples:2
+              |> List.iter (fun input ->
+                     let r = Simulator.run c input in
+                     let s = Energy.measure c [ input ] in
+                     S.check_int (ctx ^ ": total firings")
+                       r.Simulator.firings s.Energy.min_firings;
+                     S.check_int (ctx ^ ": max = min at one sample")
+                       s.Energy.min_firings s.Energy.max_firings;
+                     S.check_int (ctx ^ ": level count")
+                       (Array.length r.Simulator.level_firings)
+                       (Array.length s.Energy.mean_level_firings);
+                     Array.iteri
+                       (fun lvl expect ->
+                         S.check_int
+                           (Printf.sprintf "%s: level %d firings" ctx lvl)
+                           expect
+                           (int_of_float s.Energy.mean_level_firings.(lvl)))
+                       r.Simulator.level_firings))
             [ false; true ])
         [ 4; 8 ])
     [ "uniform-2"; "direct"; "thm44"; "thm45" ]
@@ -469,18 +467,16 @@ let test_spiking_settles_arithmetic_circuit () =
     Tcmm.Trace_circuit.build ~algo:Tcmm_fastmm.Instances.strassen
       ~schedule:(Tcmm.Level_schedule.full ~l:1) ~entry_bits:1 ~tau:2 ~n:2 ()
   in
-  match built.Tcmm.Trace_circuit.circuit with
-  | None -> Alcotest.fail "expected circuit"
-  | Some c ->
-      let m = Tcmm_fastmm.Matrix.of_rows [| [| 1; 1 |]; [| 1; 0 |] |] in
-      let input = Tcmm.Trace_circuit.encode_input built m in
-      let ticks, out = Spiking.settle c input in
-      let expect = Simulator.read_outputs c input in
-      Alcotest.(check (array bool)) "same answer" expect out;
-      let depth = (Circuit.stats c).Stats.depth in
-      S.check_bool
-        (Printf.sprintf "ticks %d <= depth %d" ticks depth)
-        true (ticks <= depth)
+  let c = Tcmm.Trace_circuit.circuit built in
+  let m = Tcmm_fastmm.Matrix.of_rows [| [| 1; 1 |]; [| 1; 0 |] |] in
+  let input = Tcmm.Trace_circuit.encode_input built m in
+  let ticks, out = Spiking.settle c input in
+  let expect = Simulator.read_outputs c input in
+  Alcotest.(check (array bool)) "same answer" expect out;
+  let depth = (Circuit.stats c).Stats.depth in
+  S.check_bool
+    (Printf.sprintf "ticks %d <= depth %d" ticks depth)
+    true (ticks <= depth)
 
 let test_spiking_tick_progression () =
   (* A chain of identity gates: the signal front advances one gate per
@@ -653,11 +649,9 @@ let test_prune_keeps_everything_live () =
     Tcmm.Trace_circuit.build ~algo:Tcmm_fastmm.Instances.strassen
       ~schedule:(Tcmm.Level_schedule.full ~l:1) ~entry_bits:1 ~tau:1 ~n:2 ()
   in
-  match built.Tcmm.Trace_circuit.circuit with
-  | None -> Alcotest.fail "expected materialized circuit"
-  | Some c ->
-      let { Transform.circuit = pruned; _ } = Transform.prune c in
-      S.check_int "nothing pruned" (Circuit.num_gates c) (Circuit.num_gates pruned)
+  let c = Tcmm.Trace_circuit.circuit built in
+  let { Transform.circuit = pruned; _ } = Transform.prune c in
+  S.check_int "nothing pruned" (Circuit.num_gates c) (Circuit.num_gates pruned)
 
 let test_prune_chain () =
   (* Deep chain: all live through transitivity. *)
@@ -1075,7 +1069,7 @@ let test_packed_batch_lane_boundaries () =
   S.check_int "kernels:false compile is all-fallback" 0
     (Packed.coverage p_g).Packed.kernel_segments;
   let ws = Packed.workspace () in
-  let c = Packed.circuit p_k in
+  let c = Builder.finalize b in
   List.iter
     (fun lanes ->
       let batch =
@@ -1134,6 +1128,28 @@ let test_packed_zero_gates () =
   S.check_int "batch lanes" 2 (Packed.lanes br);
   S.check_int "batch firings" 0 (Packed.batch_firings br ~lane:1)
 
+(* A Direct builder with inputs and no gates lowers to zero segments:
+   its sections survive save/load, and a session update answers like a
+   from-scratch run and like the reference interpreter. *)
+let test_gateless_arena () =
+  let b = Builder.create () in
+  let ins = Builder.add_inputs b 3 in
+  Builder.output b ins.(2);
+  Builder.output b ins.(0);
+  let p = Packed.of_arena (Builder.arena b) in
+  S.check_int "segments" 0 (Packed.num_segments p);
+  S.check_int "gates" 0 (Packed.num_gates p);
+  S.check_int "levels" 0 (Packed.num_levels p);
+  (match Packed.load (Packed.save p) with
+  | Ok p' -> S.check_bool "save/load round trip" true (Packed.structural_equal p p')
+  | Error m -> Alcotest.failf "load refused a gateless circuit: %s" m);
+  let ss = Packed.session p [| true; false; false |] in
+  let input = [| false; true; true |] in
+  let r = Packed.update ss [| (0, false); (1, true); (2, true) |] in
+  S.check_bool "update = run" true (same_result (Packed.run p input) r);
+  S.check_bool "update = reference" true
+    (same_result (Simulator.run (Builder.finalize b) input) r)
+
 (* The weight-mass bound at its edges, for both signs.  A segment whose
    positive (or negative) mass is exactly [max_int] packs, through
    [of_circuit] and through a Direct-mode arena, survives a save/load
@@ -1144,18 +1160,18 @@ let test_packed_zero_gates () =
 let test_packed_overflow_all_engines () =
   let third = max_int / 3 in
   S.check_int "max_int splits in three" max_int (3 * third);
-  let build mode weights thresholds =
-    let b = Builder.create ~mode () in
+  let build weights thresholds =
+    let b = Builder.create () in
     let ins = Builder.add_inputs b (Array.length weights) in
     Array.iter (Builder.output b)
       (Builder.add_shared_gates b ~inputs:ins ~weights ~thresholds);
     b
   in
   let circuit weights thresholds =
-    Builder.finalize (build Builder.Materialize weights thresholds)
+    Builder.finalize (build weights thresholds)
   in
   let of_arena weights thresholds () =
-    Packed.of_arena (Builder.arena (build Builder.Direct weights thresholds))
+    Packed.of_arena (Builder.arena (build weights thresholds))
   in
   let refused name f =
     match f () with
@@ -1372,9 +1388,9 @@ let test_packed_load_names_any_bad_wire () =
       | Ok _ -> Alcotest.failf "gate %d writing %ld: loaded" g w)
     [ (0, 2999l); (2, Int32.of_int num_wires); (1, -1l) ]
 
-(* The drivers memoize their compiled form on the built value: a
-   Materialize build is compiled once by [Packed.of_circuit], and every
-   later [pack] or packed run reuses it. *)
+(* The drivers memoize their compiled form on the built value: the
+   arena is lowered once by [Packed.of_arena], and every later [pack]
+   or packed run reuses it. *)
 let small_matmul () =
   Tcmm.Matmul_circuit.build ~algo:Tcmm_fastmm.Instances.strassen
     ~schedule:(Tcmm.Level_schedule.full ~l:1) ~entry_bits:2 ~n:2 ()
@@ -1530,5 +1546,6 @@ let () =
             test_packed_session_wide_segment;
           Alcotest.test_case "load names any out-of-range wire" `Quick
             test_packed_load_names_any_bad_wire;
+          Alcotest.test_case "gateless arena" `Quick test_gateless_arena;
         ] );
     ]
